@@ -164,7 +164,7 @@ let rules_file_arg =
     & info [ "rules" ] ~docv:"FILE"
         ~doc:
           "Load the cross-chain rules from a Souffle-style .dl file \
-           instead of the compiled-in set (see rules/cross_chain_rules.dl).")
+           instead of the shipped rules/cross_chain_rules.dl.")
 
 let load_rules = function
   | None -> Xcw_core.Rules.program

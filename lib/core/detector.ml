@@ -28,7 +28,7 @@ type input = {
           does for Ronin (Section 5.2.5) *)
   i_rpc_seed : int;
   i_program : Xcw_datalog.Ast.program;
-      (** the rules to evaluate; defaults to the compiled-in
+      (** the rules to evaluate; defaults to the shipped
           {!Rules.program}, replaceable with rules parsed from a [.dl]
           file ({!Xcw_datalog.Parser}).  The dissection expects the
           standard relation names to be present. *)

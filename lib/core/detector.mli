@@ -24,7 +24,7 @@ type input = {
           collection window; classified as FPs (paper Section 5.2.5) *)
   i_rpc_seed : int;
   i_program : Xcw_datalog.Ast.program;
-      (** the rules to evaluate; defaults to the compiled-in
+      (** the rules to evaluate; defaults to the shipped
           {!Rules.program}.  Replace with rules parsed from a [.dl]
           file to fine-tune per bridge; the dissection expects the
           standard relation names. *)

@@ -1,21 +1,9 @@
 (** The cross-chain rules — phase 3 of XChainWatcher (paper Section 3.3).
 
-    Rules 1–8 model the expected behaviour of a bridge connecting a
-    source chain S (Ethereum) to a target chain T (sidechain); failure
-    to capture an event signals an anomaly.  Isolated rules (1–3, 5–7)
-    validate events within one chain; dependent rules (4, 8) correlate
-    both chains, enforcing parameter consistency, causality and
-    cross-chain finality.
-
-    Beyond the paper's core eight, this module defines the auxiliary
-    analysis relations used to dissect anomalies (Tables 3 and 4):
-    matched/unmatched splits, finality-violation witnesses,
-    token-mapping violations, and the transfer-without-event /
-    event-without-transfer detectors behind Findings 1, 2, 3 and the
-    attack identification of Section 5.2.5 — about 30 rules in total,
-    like the original artifact. *)
-
-open Xcw_datalog.Ast
+    The rules themselves live in [rules/cross_chain_rules.dl]; the
+    build embeds that file as [Rules_dl.source] and this module parses
+    it once, at startup.  What stays here is what the [.dl] cannot say:
+    the relation names other modules query, and the aggregates. *)
 
 (* Derived relation names (exported for querying). *)
 let r_sc_valid_native_deposit = "sc_valid_native_token_deposit"
@@ -27,15 +15,10 @@ let r_tc_valid_erc20_withdrawal = "tc_valid_erc20_token_withdrawal"
 let r_sc_valid_erc20_withdrawal = "sc_valid_erc20_token_withdrawal"
 let r_cctx_valid_withdrawal = "cctx_valid_withdrawal"
 
-let r_bridge_event_in_tx = "bridge_event_in_tx"
 let r_transfer_to_bridge_no_event = "transfer_to_bridge_no_event"
 let r_transfer_from_bridge_no_event = "transfer_from_bridge_no_event"
 let r_sc_deposit_event_no_escrow = "sc_deposit_event_no_escrow"
 let r_tc_withdraw_event_no_escrow = "tc_withdraw_event_no_escrow"
-let r_matched_sc_deposit = "matched_sc_deposit"
-let r_matched_tc_deposit = "matched_tc_deposit"
-let r_matched_tc_withdrawal = "matched_tc_withdrawal"
-let r_matched_sc_withdrawal = "matched_sc_withdrawal"
 let r_unmatched_sc_native_deposit = "unmatched_sc_native_deposit"
 let r_unmatched_sc_erc20_deposit = "unmatched_sc_erc20_deposit"
 let r_unmatched_tc_deposit = "unmatched_tc_deposit"
@@ -44,644 +27,29 @@ let r_unmatched_tc_erc20_withdrawal = "unmatched_tc_erc20_withdrawal"
 let r_unmatched_sc_withdrawal = "unmatched_sc_withdrawal"
 let r_deposit_finality_violation = "deposit_finality_violation"
 let r_withdrawal_finality_violation = "withdrawal_finality_violation"
-let r_mapped_dst_token = "mapped_dst_token"
-let r_mapped_src_token = "mapped_src_token"
 let r_deposit_mapping_violation = "deposit_mapping_violation"
 let r_withdrawal_mapping_violation = "withdrawal_mapping_violation"
+let r_deposit_beneficiary_mismatch = "deposit_beneficiary_mismatch"
+let r_withdrawal_beneficiary_mismatch = "withdrawal_beneficiary_mismatch"
 let r_reverted_bridge_interaction = "reverted_bridge_interaction"
 
 (* Attack-pack relations (2023 hack corpus; DESIGN.md §12). *)
-let r_tc_withdrawal_requested = "tc_withdrawal_requested"
 let r_forged_proof_withdrawal = "forged_proof_withdrawal"
 let r_validator_takeover_withdrawal = "validator_takeover_withdrawal"
-let r_sc_deposit_initiated = "sc_deposit_initiated"
 let r_unauthorized_mint = "unauthorized_mint"
 let r_inconsistent_deposit_event = "inconsistent_deposit_event"
 
-let zero_addr = "0x0000000000000000000000000000000000000000"
-
-(* Shorthand for the Listing 1 relations. *)
-let native_deposit a = atom Facts.r_native_deposit a
-let native_withdrawal a = atom Facts.r_native_withdrawal a
-let sc_token_deposited a = atom Facts.r_sc_token_deposited a
-let tc_token_deposited a = atom Facts.r_tc_token_deposited a
-let tc_token_withdrew a = atom Facts.r_tc_token_withdrew a
-let sc_token_withdrew a = atom Facts.r_sc_token_withdrew a
-let erc20_transfer a = atom Facts.r_erc20_transfer a
-let transaction a = atom Facts.r_transaction a
-let bridge_controlled a = atom Facts.r_bridge_controlled_address a
-let token_mapping a = atom Facts.r_token_mapping a
-let cctx_finality a = atom Facts.r_cctx_finality a
-let wrapped_native a = atom Facts.r_wrapped_native_token a
-
-(* ------------------------------------------------------------------ *)
-(* Rule 1 (I): SC_ValidNativeTokenDeposit                              *)
-(* A valid native deposit on S relates (1) the bridge's TokenDeposited *)
-(* event, (2) a non-reverting transaction carrying the amount in       *)
-(* tx.value, (3) the wrapped-native Deposit event escrowing to a       *)
-(* bridge-controlled address, (4) the wrapped-native token identity,   *)
-(* (5) the token mapping, and (6) event ordering.                      *)
-
-let rule_1 =
-  atom r_sc_valid_native_deposit
-    [ v "tx"; v "ts"; v "src_chain"; v "dst_chain"; v "src_token";
-      v "dst_token"; v "ben"; v "amt"; v "did" ]
-  <-- [
-        pos (sc_token_deposited
-               [ v "tx"; v "bidx"; v "did"; v "ben"; v "dst_token";
-                 v "src_token"; v "dst_chain"; v "amt" ]);
-        pos (native_deposit
-               [ v "tx"; v "src_chain"; v "tidx"; any (); v "escrow_to"; v "amt" ]);
-        pos (transaction
-               [ v "ts"; v "src_chain"; v "tx"; any (); any (); v "amt"; i 1; any () ]);
-        pos (token_mapping [ v "src_chain"; v "dst_chain"; v "src_token"; v "dst_token" ]);
-        pos (wrapped_native [ v "src_chain"; v "src_token" ]);
-        pos (bridge_controlled [ v "src_chain"; v "escrow_to" ]);
-        ev "bidx" >! ev "tidx";
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Rule 2 (I): SC_ValidERC20TokenDeposit                               *)
-
-let rule_2 =
-  atom r_sc_valid_erc20_deposit
-    [ v "tx"; v "ts"; v "src_chain"; v "dst_chain"; v "src_token";
-      v "dst_token"; v "ben"; v "amt"; v "did" ]
-  <-- [
-        pos (sc_token_deposited
-               [ v "tx"; v "bidx"; v "did"; v "ben"; v "dst_token";
-                 v "src_token"; v "dst_chain"; v "amt" ]);
-        pos (erc20_transfer
-               [ v "tx"; v "src_chain"; v "tidx"; v "src_token"; any ();
-                 v "escrow_to"; v "amt" ]);
-        pos (transaction
-               [ v "ts"; v "src_chain"; v "tx"; any (); any (); s "0"; i 1; any () ]);
-        pos (token_mapping [ v "src_chain"; v "dst_chain"; v "src_token"; v "dst_token" ]);
-        pos (bridge_controlled [ v "src_chain"; v "escrow_to" ]);
-        ev "bidx" >! ev "tidx";
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Rule 3 (I): TC_ValidERC20TokenDeposit                               *)
-(* On T the destination tokens are minted (Transfer from the zero      *)
-(* address, registered as bridge-controlled) or unlocked (Transfer     *)
-(* from the bridge).                                                   *)
-
-let rule_3 =
-  atom r_tc_valid_erc20_deposit
-    [ v "tx"; v "ts"; v "chain"; v "did"; v "ben"; v "dst_token"; v "amt" ]
-  <-- [
-        pos (tc_token_deposited
-               [ v "tx"; v "bidx"; v "did"; v "ben"; v "dst_token"; v "amt" ]);
-        pos (erc20_transfer
-               [ v "tx"; v "chain"; v "tidx"; v "dst_token"; v "mint_from";
-                 v "ben"; v "amt" ]);
-        pos (transaction
-               [ v "ts"; v "chain"; v "tx"; any (); v "relay_to"; s "0"; i 1; any () ]);
-        pos (bridge_controlled [ v "chain"; v "relay_to" ]);
-        pos (bridge_controlled [ v "chain"; v "mint_from" ]);
-        ev "bidx" >! ev "tidx";
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Rule 4 (D): CCTX_ValidDeposit — correlate S and T deposit events,   *)
-(* enforcing matching parameters, causality and source finality.       *)
-(* The (erc20 ; native) disjunction becomes two rules.                 *)
-
-let cctx_deposit_head =
-  atom r_cctx_valid_deposit
-    [ v "src_tx"; v "dst_tx"; v "did"; v "src_chain"; v "dst_chain";
-      v "src_token"; v "dst_token"; v "ben"; v "amt"; v "src_ts"; v "dst_ts" ]
-
-let rule_4_erc20 =
-  cctx_deposit_head
-  <-- [
-        pos (atom r_tc_valid_erc20_deposit
-               [ v "dst_tx"; v "dst_ts"; v "dst_chain"; v "did"; v "ben";
-                 v "dst_token"; v "amt" ]);
-        pos (atom r_sc_valid_erc20_deposit
-               [ v "src_tx"; v "src_ts"; v "src_chain"; v "dst_chain";
-                 v "src_token"; v "dst_token"; v "ben"; v "amt"; v "did" ]);
-        pos (cctx_finality [ v "src_chain"; v "fin" ]);
-        pos (token_mapping [ v "src_chain"; v "dst_chain"; v "src_token"; v "dst_token" ]);
-        ev "src_ts" +! ev "fin" <=! ev "dst_ts";
-      ]
-
-let rule_4_native =
-  cctx_deposit_head
-  <-- [
-        pos (atom r_tc_valid_erc20_deposit
-               [ v "dst_tx"; v "dst_ts"; v "dst_chain"; v "did"; v "ben";
-                 v "dst_token"; v "amt" ]);
-        pos (atom r_sc_valid_native_deposit
-               [ v "src_tx"; v "src_ts"; v "src_chain"; v "dst_chain";
-                 v "src_token"; v "dst_token"; v "ben"; v "amt"; v "did" ]);
-        pos (cctx_finality [ v "src_chain"; v "fin" ]);
-        pos (token_mapping [ v "src_chain"; v "dst_chain"; v "src_token"; v "dst_token" ]);
-        ev "src_ts" +! ev "fin" <=! ev "dst_ts";
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Rule 5 (I): TC_ValidNativeTokenWithdrawal — a native withdrawal on  *)
-(* T wraps tx.value through the wrapped-native contract.               *)
-
-let rule_5 =
-  atom r_tc_valid_native_withdrawal
-    [ v "tx"; v "ts"; v "tc_chain"; v "wid"; v "ben"; v "src_token";
-      v "dst_token"; v "sc_chain"; v "amt" ]
-  <-- [
-        pos (tc_token_withdrew
-               [ v "tx"; v "bidx"; v "wid"; v "ben"; v "src_token";
-                 v "dst_token"; v "sc_chain"; v "amt" ]);
-        pos (native_withdrawal
-               [ v "tx"; v "tc_chain"; v "tidx"; any (); v "escrow_to"; v "amt" ]);
-        pos (transaction
-               [ v "ts"; v "tc_chain"; v "tx"; any (); any (); v "amt"; i 1; any () ]);
-        pos (wrapped_native [ v "tc_chain"; v "dst_token" ]);
-        pos (token_mapping [ v "sc_chain"; v "tc_chain"; v "src_token"; v "dst_token" ]);
-        pos (bridge_controlled [ v "tc_chain"; v "escrow_to" ]);
-        ev "bidx" >! ev "tidx";
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Rule 6 (I): TC_ValidERC20TokenWithdrawal                            *)
-
-let rule_6 =
-  atom r_tc_valid_erc20_withdrawal
-    [ v "tx"; v "ts"; v "tc_chain"; v "wid"; v "ben"; v "src_token";
-      v "dst_token"; v "sc_chain"; v "amt" ]
-  <-- [
-        pos (tc_token_withdrew
-               [ v "tx"; v "bidx"; v "wid"; v "ben"; v "src_token";
-                 v "dst_token"; v "sc_chain"; v "amt" ]);
-        pos (erc20_transfer
-               [ v "tx"; v "tc_chain"; v "tidx"; v "dst_token"; any ();
-                 v "escrow_to"; v "amt" ]);
-        pos (transaction
-               [ v "ts"; v "tc_chain"; v "tx"; any (); any (); s "0"; i 1; any () ]);
-        pos (token_mapping [ v "sc_chain"; v "tc_chain"; v "src_token"; v "dst_token" ]);
-        pos (bridge_controlled [ v "tc_chain"; v "escrow_to" ]);
-        ev "bidx" >! ev "tidx";
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Rule 7 (I): SC_ValidERC20TokenWithdrawal — release on S: tokens     *)
-(* leave a bridge-controlled address (or are minted) toward the        *)
-(* beneficiary, and the bridge emits TokenWithdrew.                    *)
-
-let rule_7 =
-  atom r_sc_valid_erc20_withdrawal
-    [ v "tx"; v "ts"; v "sc_chain"; v "wid"; v "ben"; v "token"; v "amt" ]
-  <-- [
-        pos (sc_token_withdrew
-               [ v "tx"; v "bidx"; v "wid"; v "ben"; v "token"; v "amt" ]);
-        pos (erc20_transfer
-               [ v "tx"; v "sc_chain"; v "tidx"; v "token"; v "release_from";
-                 any (); v "amt" ]);
-        pos (transaction
-               [ v "ts"; v "sc_chain"; v "tx"; any (); any (); s "0"; i 1; any () ]);
-        pos (bridge_controlled [ v "sc_chain"; v "release_from" ]);
-        ev "bidx" >! ev "tidx";
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Rule 8 (D): CCTX_ValidWithdrawal — correlate the T-side request     *)
-(* with the S-side release; enforce parameters, causality and the      *)
-(* target chain's finality.                                            *)
-
-let cctx_withdrawal_head =
-  atom r_cctx_valid_withdrawal
-    [ v "tc_tx"; v "sc_tx"; v "wid"; v "sc_chain"; v "tc_chain";
-      v "src_token"; v "dst_token"; v "ben"; v "amt"; v "tc_ts"; v "sc_ts" ]
-
-let rule_8_erc20 =
-  cctx_withdrawal_head
-  <-- [
-        pos (atom r_tc_valid_erc20_withdrawal
-               [ v "tc_tx"; v "tc_ts"; v "tc_chain"; v "wid"; v "ben";
-                 v "src_token"; v "dst_token"; v "sc_chain"; v "amt" ]);
-        pos (atom r_sc_valid_erc20_withdrawal
-               [ v "sc_tx"; v "sc_ts"; v "sc_chain"; v "wid"; v "ben";
-                 v "src_token"; v "amt" ]);
-        pos (cctx_finality [ v "tc_chain"; v "fin" ]);
-        pos (token_mapping [ v "sc_chain"; v "tc_chain"; v "src_token"; v "dst_token" ]);
-        ev "tc_ts" +! ev "fin" <=! ev "sc_ts";
-      ]
-
-let rule_8_native =
-  cctx_withdrawal_head
-  <-- [
-        pos (atom r_tc_valid_native_withdrawal
-               [ v "tc_tx"; v "tc_ts"; v "tc_chain"; v "wid"; v "ben";
-                 v "src_token"; v "dst_token"; v "sc_chain"; v "amt" ]);
-        pos (atom r_sc_valid_erc20_withdrawal
-               [ v "sc_tx"; v "sc_ts"; v "sc_chain"; v "wid"; v "ben";
-                 v "src_token"; v "amt" ]);
-        pos (cctx_finality [ v "tc_chain"; v "fin" ]);
-        pos (token_mapping [ v "sc_chain"; v "tc_chain"; v "src_token"; v "dst_token" ]);
-        ev "tc_ts" +! ev "fin" <=! ev "sc_ts";
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Auxiliary: any bridge event in a transaction                        *)
-
-let bridge_event_rules =
-  [
-    atom r_bridge_event_in_tx [ v "tx" ]
-    <-- [ pos (sc_token_deposited [ v "tx"; any (); any (); any (); any (); any (); any (); any () ]) ];
-    atom r_bridge_event_in_tx [ v "tx" ]
-    <-- [ pos (tc_token_deposited [ v "tx"; any (); any (); any (); any (); any () ]) ];
-    atom r_bridge_event_in_tx [ v "tx" ]
-    <-- [ pos (tc_token_withdrew [ v "tx"; any (); any (); any (); any (); any (); any (); any () ]) ];
-    atom r_bridge_event_in_tx [ v "tx" ]
-    <-- [ pos (sc_token_withdrew [ v "tx"; any (); any (); any (); any (); any () ]) ];
-    (* A bridge event that was present but undecodable still counts:
-       the transaction is bridge-related, just not fully understood. *)
-    atom r_bridge_event_in_tx [ v "tx" ]
-    <-- [ pos (atom Facts.r_bridge_event_decode_failure [ v "tx" ]) ];
-  ]
-
-(* Findings 1 and 2: ERC-20 transfers into a bridge-controlled address
-   in transactions where the bridge emitted no event — direct transfers
-   of reputable tokens (lost funds) and phishing-token interactions. *)
-let transfer_to_bridge_no_event =
-  atom r_transfer_to_bridge_no_event
-    [ v "tx"; v "chain"; v "token"; v "from"; v "amt" ]
-  <-- [
-        pos (erc20_transfer
-               [ v "tx"; v "chain"; any (); v "token"; v "from"; v "to"; v "amt" ]);
-        pos (bridge_controlled [ v "chain"; v "to" ]);
-        ev "to" <>! ec (Str zero_addr);
-        (* Mints into the bridge are operator liquidity provisioning,
-           not user transfers. *)
-        ev "from" <>! ec (Str zero_addr);
-        pos (transaction [ any (); v "chain"; v "tx"; any (); any (); any (); i 1; any () ]);
-        neg (atom r_bridge_event_in_tx [ v "tx" ]);
-      ]
-
-(* Section 5.1.4: funds moved out of a bridge address with no bridge
-   event (phishing-token fabrications). *)
-let transfer_from_bridge_no_event =
-  atom r_transfer_from_bridge_no_event
-    [ v "tx"; v "chain"; v "token"; v "to"; v "amt" ]
-  <-- [
-        pos (erc20_transfer
-               [ v "tx"; v "chain"; any (); v "token"; v "from"; v "to"; v "amt" ]);
-        pos (bridge_controlled [ v "chain"; v "from" ]);
-        ev "from" <>! ec (Str zero_addr);
-        ev "to" <>! ec (Str zero_addr);
-        pos (transaction [ any (); v "chain"; v "tx"; any (); any (); any (); i 1; any () ]);
-        neg (atom r_bridge_event_in_tx [ v "tx" ]);
-      ]
-
-(* Attack signal: the bridge acknowledged a deposit without the
-   corresponding escrow movement in the same transaction. *)
-let sc_escrow_in_tx = "sc_escrow_in_tx"
-
-let sc_escrow_rules =
-  [
-    atom sc_escrow_in_tx [ v "tx"; v "token"; v "amt" ]
-    <-- [
-          pos (erc20_transfer [ v "tx"; v "chain"; any (); v "token"; any (); v "to"; v "amt" ]);
-          pos (bridge_controlled [ v "chain"; v "to" ]);
-        ];
-    atom sc_escrow_in_tx [ v "tx"; v "token"; v "amt" ]
-    <-- [
-          pos (native_deposit [ v "tx"; v "chain"; any (); any (); any (); v "amt" ]);
-          pos (wrapped_native [ v "chain"; v "token" ]);
-        ];
-  ]
-
-let sc_deposit_event_no_escrow =
-  atom r_sc_deposit_event_no_escrow [ v "tx"; v "did"; v "token"; v "amt" ]
-  <-- [
-        pos (sc_token_deposited
-               [ v "tx"; any (); v "did"; any (); any (); v "token"; any (); v "amt" ]);
-        neg (atom sc_escrow_in_tx [ v "tx"; v "token"; v "amt" ]);
-      ]
-
-(* Section 5.1.3 (Ronin): TokenWithdrew emitted on T without any token
-   escrow in the same transaction (unmapped-token withdrawal bug). *)
-let tc_escrow_in_tx = "tc_escrow_in_tx"
-
-let tc_escrow_rules =
-  [
-    atom tc_escrow_in_tx [ v "tx"; v "token"; v "amt" ]
-    <-- [
-          pos (erc20_transfer [ v "tx"; v "chain"; any (); v "token"; any (); v "to"; v "amt" ]);
-          pos (bridge_controlled [ v "chain"; v "to" ]);
-        ];
-    atom tc_escrow_in_tx [ v "tx"; v "token"; v "amt" ]
-    <-- [
-          pos (native_withdrawal [ v "tx"; v "chain"; any (); any (); any (); v "amt" ]);
-          pos (wrapped_native [ v "chain"; v "token" ]);
-        ];
-  ]
-
-let tc_withdraw_event_no_escrow =
-  atom r_tc_withdraw_event_no_escrow [ v "tx"; v "wid"; v "token"; v "amt" ]
-  <-- [
-        pos (tc_token_withdrew
-               [ v "tx"; any (); v "wid"; any (); any (); v "token"; any (); v "amt" ]);
-        neg (atom tc_escrow_in_tx [ v "tx"; v "token"; v "amt" ]);
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Matched / unmatched dissection (Table 4)                            *)
-
-let matched_rules =
-  [
-    atom r_matched_sc_deposit [ v "tx" ]
-    <-- [ pos (atom r_cctx_valid_deposit
-                 [ v "tx"; any (); any (); any (); any (); any (); any ();
-                   any (); any (); any (); any () ]) ];
-    atom r_matched_tc_deposit [ v "tx" ]
-    <-- [ pos (atom r_cctx_valid_deposit
-                 [ any (); v "tx"; any (); any (); any (); any (); any ();
-                   any (); any (); any (); any () ]) ];
-    atom r_matched_tc_withdrawal [ v "tx" ]
-    <-- [ pos (atom r_cctx_valid_withdrawal
-                 [ v "tx"; any (); any (); any (); any (); any (); any ();
-                   any (); any (); any (); any () ]) ];
-    atom r_matched_sc_withdrawal [ v "tx" ]
-    <-- [ pos (atom r_cctx_valid_withdrawal
-                 [ any (); v "tx"; any (); any (); any (); any (); any ();
-                   any (); any (); any (); any () ]) ];
-  ]
-
-let unmatched_rules =
-  [
-    atom r_unmatched_sc_native_deposit
-      [ v "tx"; v "ts"; v "amt"; v "did"; v "token" ]
-    <-- [
-          pos (atom r_sc_valid_native_deposit
-                 [ v "tx"; v "ts"; any (); any (); v "token"; any (); any ();
-                   v "amt"; v "did" ]);
-          neg (atom r_matched_sc_deposit [ v "tx" ]);
-        ];
-    atom r_unmatched_sc_erc20_deposit
-      [ v "tx"; v "ts"; v "amt"; v "did"; v "token" ]
-    <-- [
-          pos (atom r_sc_valid_erc20_deposit
-                 [ v "tx"; v "ts"; any (); any (); v "token"; any (); any ();
-                   v "amt"; v "did" ]);
-          neg (atom r_matched_sc_deposit [ v "tx" ]);
-        ];
-    atom r_unmatched_tc_deposit [ v "tx"; v "ts"; v "amt"; v "did"; v "token" ]
-    <-- [
-          pos (atom r_tc_valid_erc20_deposit
-                 [ v "tx"; v "ts"; any (); v "did"; any (); v "token"; v "amt" ]);
-          neg (atom r_matched_tc_deposit [ v "tx" ]);
-        ];
-    atom r_unmatched_tc_native_withdrawal
-      [ v "tx"; v "ts"; v "amt"; v "wid"; v "ben"; v "token" ]
-    <-- [
-          pos (atom r_tc_valid_native_withdrawal
-                 [ v "tx"; v "ts"; any (); v "wid"; v "ben"; v "token"; any ();
-                   any (); v "amt" ]);
-          neg (atom r_matched_tc_withdrawal [ v "tx" ]);
-        ];
-    atom r_unmatched_tc_erc20_withdrawal
-      [ v "tx"; v "ts"; v "amt"; v "wid"; v "ben"; v "token" ]
-    <-- [
-          pos (atom r_tc_valid_erc20_withdrawal
-                 [ v "tx"; v "ts"; any (); v "wid"; v "ben"; v "token"; any ();
-                   any (); v "amt" ]);
-          neg (atom r_matched_tc_withdrawal [ v "tx" ]);
-        ];
-    atom r_unmatched_sc_withdrawal
-      [ v "tx"; v "ts"; v "amt"; v "wid"; v "ben"; v "token" ]
-    <-- [
-          pos (atom r_sc_valid_erc20_withdrawal
-                 [ v "tx"; v "ts"; any (); v "wid"; v "ben"; v "token"; v "amt" ]);
-          neg (atom r_matched_sc_withdrawal [ v "tx" ]);
-        ];
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Finality violations (Finding 4): events on both chains that match   *)
-(* in every parameter but complete before the finality / fraud-proof   *)
-(* delay elapsed.                                                      *)
-
-let finality_violation_rules =
-  [
-    atom r_deposit_finality_violation
-      [ v "src_tx"; v "dst_tx"; v "did"; v "amt"; v "src_ts"; v "dst_ts"; v "fin" ]
-    <-- [
-          pos (atom r_sc_valid_erc20_deposit
-                 [ v "src_tx"; v "src_ts"; v "src_chain"; v "dst_chain";
-                   v "src_token"; v "dst_token"; v "ben"; v "amt"; v "did" ]);
-          pos (atom r_tc_valid_erc20_deposit
-                 [ v "dst_tx"; v "dst_ts"; v "dst_chain"; v "did"; v "ben";
-                   v "dst_token"; v "amt" ]);
-          pos (cctx_finality [ v "src_chain"; v "fin" ]);
-          ev "src_ts" +! ev "fin" >! ev "dst_ts";
-          ev "dst_ts" >=! ev "src_ts";
-        ];
-    atom r_deposit_finality_violation
-      [ v "src_tx"; v "dst_tx"; v "did"; v "amt"; v "src_ts"; v "dst_ts"; v "fin" ]
-    <-- [
-          pos (atom r_sc_valid_native_deposit
-                 [ v "src_tx"; v "src_ts"; v "src_chain"; v "dst_chain";
-                   v "src_token"; v "dst_token"; v "ben"; v "amt"; v "did" ]);
-          pos (atom r_tc_valid_erc20_deposit
-                 [ v "dst_tx"; v "dst_ts"; v "dst_chain"; v "did"; v "ben";
-                   v "dst_token"; v "amt" ]);
-          pos (cctx_finality [ v "src_chain"; v "fin" ]);
-          ev "src_ts" +! ev "fin" >! ev "dst_ts";
-          ev "dst_ts" >=! ev "src_ts";
-        ];
-    atom r_withdrawal_finality_violation
-      [ v "tc_tx"; v "sc_tx"; v "wid"; v "amt"; v "tc_ts"; v "sc_ts"; v "fin" ]
-    <-- [
-          pos (atom r_tc_valid_erc20_withdrawal
-                 [ v "tc_tx"; v "tc_ts"; v "tc_chain"; v "wid"; v "ben";
-                   v "src_token"; v "dst_token"; v "sc_chain"; v "amt" ]);
-          pos (atom r_sc_valid_erc20_withdrawal
-                 [ v "sc_tx"; v "sc_ts"; v "sc_chain"; v "wid"; v "ben";
-                   v "src_token"; v "amt" ]);
-          pos (cctx_finality [ v "tc_chain"; v "fin" ]);
-          ev "tc_ts" +! ev "fin" >! ev "sc_ts";
-          ev "sc_ts" >=! ev "tc_ts";
-        ];
-    atom r_withdrawal_finality_violation
-      [ v "tc_tx"; v "sc_tx"; v "wid"; v "amt"; v "tc_ts"; v "sc_ts"; v "fin" ]
-    <-- [
-          pos (atom r_tc_valid_native_withdrawal
-                 [ v "tc_tx"; v "tc_ts"; v "tc_chain"; v "wid"; v "ben";
-                   v "src_token"; v "dst_token"; v "sc_chain"; v "amt" ]);
-          pos (atom r_sc_valid_erc20_withdrawal
-                 [ v "sc_tx"; v "sc_ts"; v "sc_chain"; v "wid"; v "ben";
-                   v "src_token"; v "amt" ]);
-          pos (cctx_finality [ v "tc_chain"; v "fin" ]);
-          ev "tc_ts" +! ev "fin" >! ev "sc_ts";
-          ev "sc_ts" >=! ev "tc_ts";
-        ];
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Token-mapping violations (Finding 6)                                *)
-
-let mapping_violation_rules =
-  [
-    atom r_mapped_dst_token [ v "t" ]
-    <-- [ pos (token_mapping [ any (); any (); any (); v "t" ]) ];
-    atom r_mapped_src_token [ v "t" ]
-    <-- [ pos (token_mapping [ any (); any (); v "t"; any () ]) ];
-    (* Deposits completed on T for tokens outside the verified mapping. *)
-    atom r_deposit_mapping_violation [ v "tx"; v "did"; v "token"; v "amt" ]
-    <-- [
-          pos (tc_token_deposited [ v "tx"; any (); v "did"; any (); v "token"; v "amt" ]);
-          neg (atom r_mapped_dst_token [ v "token" ]);
-        ];
-    (* Withdrawals released on S for tokens outside the verified mapping. *)
-    atom r_withdrawal_mapping_violation [ v "tx"; v "wid"; v "token"; v "amt" ]
-    <-- [
-          pos (sc_token_withdrew [ v "tx"; any (); v "wid"; any (); v "token"; v "amt" ]);
-          neg (atom r_mapped_src_token [ v "token" ]);
-        ];
-  ]
-
-(* Invalid-beneficiary witnesses (Section 5.2.2): both sides of a cctx
-   exist and agree on id/token/amount but the beneficiaries differ —
-   the bridge contract and the decoder interpreted a malformed
-   beneficiary field differently. *)
-let r_deposit_beneficiary_mismatch = "deposit_beneficiary_mismatch"
-let r_withdrawal_beneficiary_mismatch = "withdrawal_beneficiary_mismatch"
-
-let beneficiary_mismatch_rules =
-  [
-    atom r_deposit_beneficiary_mismatch
-      [ v "src_tx"; v "dst_tx"; v "did"; v "ben_s"; v "ben_t" ]
-    <-- [
-          pos (atom r_sc_valid_erc20_deposit
-                 [ v "src_tx"; any (); any (); v "dst_chain"; any ();
-                   v "dst_token"; v "ben_s"; v "amt"; v "did" ]);
-          pos (atom r_tc_valid_erc20_deposit
-                 [ v "dst_tx"; any (); v "dst_chain"; v "did"; v "ben_t";
-                   v "dst_token"; v "amt" ]);
-          ev "ben_s" <>! ev "ben_t";
-        ];
-    atom r_withdrawal_beneficiary_mismatch
-      [ v "tc_tx"; v "sc_tx"; v "wid"; v "ben_t"; v "ben_s" ]
-    <-- [
-          pos (atom r_tc_valid_erc20_withdrawal
-                 [ v "tc_tx"; any (); any (); v "wid"; v "ben_t"; v "src_token";
-                   any (); v "sc_chain"; v "amt" ]);
-          pos (atom r_sc_valid_erc20_withdrawal
-                 [ v "sc_tx"; any (); v "sc_chain"; v "wid"; v "ben_s";
-                   v "src_token"; v "amt" ]);
-          ev "ben_t" <>! ev "ben_s";
-        ];
-  ]
-
-(* Failed exploit probes: reverted transactions targeting a bridge
-   contract (Section 5.1.3's seven attack attempts reverted). *)
-let reverted_bridge_interaction =
-  atom r_reverted_bridge_interaction [ v "tx"; v "chain"; v "from" ]
-  <-- [
-        pos (transaction [ any (); v "chain"; v "tx"; v "from"; v "to"; any (); i 0; any () ]);
-        pos (bridge_controlled [ v "chain"; v "to" ]);
-        ev "to" <>! ec (Str zero_addr);
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Attack pack: rule signatures for the 2023 hack corpus (SoK of 2023  *)
-(* bridge hacks / Xscope).  Each attack class injected by              *)
-(* Xcw_workload.Attacks has one dedicated detection rule here; the     *)
-(* per-class evidence surfaces in Report.attack_rows.                  *)
-
-(* Forged proof/signature acceptance (BNB Bridge, Nomad replays): the
-   source chain released funds for a withdrawal id that was never
-   requested on the target chain — the acceptance proof was forged, so
-   no T-side TokenWithdrew event exists anywhere in the captured data. *)
-let forged_proof_rules =
-  [
-    atom r_tc_withdrawal_requested [ v "wid" ]
-    <-- [ pos (tc_token_withdrew
-                 [ any (); any (); v "wid"; any (); any (); any (); any (); any () ]) ];
-    atom r_forged_proof_withdrawal [ v "tx"; v "wid"; v "ben"; v "token"; v "amt" ]
-    <-- [
-          pos (sc_token_withdrew [ v "tx"; any (); v "wid"; v "ben"; v "token"; v "amt" ]);
-          neg (atom r_tc_withdrawal_requested [ v "wid" ]);
-        ];
-  ]
-
-(* Compromised-key validator takeover (Ronin, Harmony Horizon): a
-   genuine T-side request exists, but the S-side release signed by the
-   stolen quorum carries a different amount — the attacker re-signed
-   the message with inflated parameters. *)
-let validator_takeover_rule =
-  atom r_validator_takeover_withdrawal
-    [ v "tc_tx"; v "sc_tx"; v "wid"; v "token"; v "amt_t"; v "amt_s" ]
-  <-- [
-        pos (tc_token_withdrew
-               [ v "tc_tx"; any (); v "wid"; any (); v "token"; any (); any (); v "amt_t" ]);
-        pos (sc_token_withdrew [ v "sc_tx"; any (); v "wid"; any (); v "token"; v "amt_s" ]);
-        ev "amt_t" <>! ev "amt_s";
-      ]
-
-(* Unauthorized mint without a matching lock (Qubit, Meter.io): the
-   target chain minted a properly mapped token for a deposit id that
-   never appeared on the source chain.  Restricting to mapped tokens
-   separates this from plain mapping violations (Finding 6). *)
-let unauthorized_mint_rules =
-  [
-    atom r_sc_deposit_initiated [ v "did" ]
-    <-- [ pos (sc_token_deposited
-                 [ any (); any (); v "did"; any (); any (); any (); any (); any () ]) ];
-    atom r_unauthorized_mint [ v "tx"; v "did"; v "ben"; v "token"; v "amt" ]
-    <-- [
-          pos (tc_token_deposited [ v "tx"; any (); v "did"; v "ben"; v "token"; v "amt" ]);
-          pos (atom r_mapped_dst_token [ v "token" ]);
-          neg (atom r_sc_deposit_initiated [ v "did" ]);
-        ];
-  ]
-
-(* Unmatched/inconsistent event pattern (Xscope): both sides emitted
-   deposit events for the same id and token, but the amounts disagree —
-   the completion does not reproduce what was locked. *)
-let inconsistent_event_rule =
-  atom r_inconsistent_deposit_event
-    [ v "src_tx"; v "dst_tx"; v "did"; v "token"; v "amt_s"; v "amt_t" ]
-  <-- [
-        pos (sc_token_deposited
-               [ v "src_tx"; any (); v "did"; any (); v "token"; any (); any (); v "amt_s" ]);
-        pos (tc_token_deposited [ v "dst_tx"; any (); v "did"; any (); v "token"; v "amt_t" ]);
-        ev "amt_s" <>! ev "amt_t";
-      ]
-
-let attack_pack_rules =
-  forged_proof_rules
-  @ [ validator_takeover_rule ]
-  @ unauthorized_mint_rules
-  @ [ inconsistent_event_rule ]
-
-(* ------------------------------------------------------------------ *)
-(* Pessimistic-accounting stratum (PR 10; DESIGN.md §15): rules over   *)
-(* the exit-bridge relations of the proof-carrying bridge model.  The  *)
-(* two *_total relations are engine aggregates (see [aggregates]       *)
-(* below), not rule heads: grouped integer sums over the exit EDB,     *)
-(* materialized before any stratum runs, which the rules join and      *)
-(* compare like ordinary EDB — stratified aggregation.                 *)
-
-(* Accounting relation names. *)
+(* Pessimistic-accounting relations (DESIGN.md §15). *)
 let r_exit_deposit_total = "exit_deposit_total"
 let r_exit_claim_total = "exit_claim_total"
-let r_exit_token_deposited = "exit_token_deposited"
 let r_acc_outflow_violation = "acc_outflow_violation"
 let r_acc_outflow_tx = "acc_outflow_tx"
 let r_acc_forged_exit_proof = "acc_forged_exit_proof"
 let r_acc_stale_root_claim = "acc_stale_root_claim"
 let r_acc_root_divergence = "acc_root_divergence"
-let r_exit_validator_slashed = "exit_validator_slashed"
 let r_acc_slashing_evasion = "acc_slashing_evasion"
 
-let exit_deposit a = atom Facts.r_exit_deposit a
-let exit_claim a = atom Facts.r_exit_claim a
-let sealed_root a = atom Facts.r_sealed_root a
-let signed_root a = atom Facts.r_signed_root a
-let stake_event a = atom Facts.r_stake_event a
+let zero_addr = "0x0000000000000000000000000000000000000000"
 
 (* exit_deposit_total(origin_chain, token, total): summed deposits per
    (origin chain, token) — grouped over exit_deposit's chain_id (1) and
@@ -696,126 +64,12 @@ let aggregates : Xcw_datalog.Engine.aggregate list =
         agg_group_by = [ 6; 4 ]; agg_sum = 5 };
     ]
 
-let accounting_rules =
-  [
-    (* Which (origin chain, token) pairs saw any exit deposit at all —
-       lets the conservation law also condemn claims drawing on a
-       token that was never deposited (claimed > 0 = deposited). *)
-    atom r_exit_token_deposited [ v "chain"; v "token" ]
-    <-- [ pos (exit_deposit
-                 [ any (); v "chain"; any (); any (); v "token"; any ();
-                   any (); any () ]) ];
-    (* The conservation law itself: cumulative claims against an origin
-       chain's token exceed what that chain escrowed.  Pessimistic
-       accounting — no per-tx matching needed, the sums alone convict. *)
-    atom r_acc_outflow_violation
-      [ v "chain"; v "token"; v "claimed"; v "deposited" ]
-    <-- [
-          pos (atom r_exit_claim_total [ v "chain"; v "token"; v "claimed" ]);
-          pos (atom r_exit_deposit_total
-                 [ v "chain"; v "token"; v "deposited" ]);
-          ev "claimed" >! ev "deposited";
-        ];
-    atom r_acc_outflow_violation [ v "chain"; v "token"; v "claimed"; i 0 ]
-    <-- [
-          pos (atom r_exit_claim_total [ v "chain"; v "token"; v "claimed" ]);
-          neg (atom r_exit_token_deposited [ v "chain"; v "token" ]);
-        ];
-    (* Every claim drawing on a convicted (origin chain, token) pool —
-       the per-tx evidence rows behind the aggregate verdict. *)
-    atom r_acc_outflow_tx
-      [ v "tx"; v "dchain"; v "ochain"; v "token"; v "amt" ]
-    <-- [
-          pos (atom r_acc_outflow_violation
-                 [ v "ochain"; v "token"; any (); any () ]);
-          pos (exit_claim
-                 [ v "tx"; v "dchain"; any (); any (); v "token"; v "amt";
-                   v "ochain"; any (); any (); any () ]);
-        ];
-    (* A claim whose inclusion proof failed watcher-side verification
-       against the root it presented (valid = 0). *)
-    atom r_acc_forged_exit_proof
-      [ v "tx"; v "chain"; v "leaf"; v "token"; v "amt" ]
-    <-- [
-          pos (exit_claim
-                 [ v "tx"; v "chain"; any (); v "leaf"; v "token"; v "amt";
-                   any (); any (); any (); i 0 ]);
-        ];
-    (* A claim proved against a root some validator had already
-       superseded: the presented root belongs to epoch E, yet an
-       attestation for a newer epoch carries a smaller destination-side
-       sequence number — it landed before the claim did. *)
-    atom r_acc_stale_root_claim
-      [ v "tx"; v "chain"; v "leaf"; v "token"; v "amt"; v "epoch" ]
-    <-- [
-          pos (exit_claim
-                 [ v "tx"; v "chain"; any (); v "leaf"; v "token"; v "amt";
-                   v "origin"; v "root"; v "cseq"; any () ]);
-          pos (signed_root
-                 [ any (); v "chain"; v "origin"; v "epoch"; v "root"; any ();
-                   any () ]);
-          pos (signed_root
-                 [ any (); v "chain"; v "origin"; v "newer"; any (); any ();
-                   v "sseq" ]);
-          ev "newer" >! ev "epoch";
-          ev "sseq" <! ev "cseq";
-        ];
-    (* A validator attested to a root that differs from what the origin
-       chain actually sealed for that epoch. *)
-    atom r_acc_root_divergence
-      [ v "tx"; v "chain"; v "origin"; v "epoch"; v "validator"; v "signed";
-        v "sealed" ]
-    <-- [
-          pos (signed_root
-                 [ v "tx"; v "chain"; v "origin"; v "epoch"; v "signed";
-                   v "validator"; any () ]);
-          pos (sealed_root [ any (); v "origin"; v "epoch"; v "sealed" ]);
-          ev "signed" <>! ev "sealed";
-        ];
-    atom r_exit_validator_slashed [ v "chain"; v "validator" ]
-    <-- [ pos (stake_event
-                 [ any (); v "chain"; v "validator"; s "slash"; any ();
-                   any () ]) ];
-    (* Slashing evasion: a validator caught signing a divergent root
-       withdrew its stake without ever being slashed. *)
-    atom r_acc_slashing_evasion [ v "tx"; v "chain"; v "validator"; v "amt" ]
-    <-- [
-          pos (atom r_acc_root_divergence
-                 [ any (); v "chain"; any (); any (); v "validator"; any ();
-                   any () ]);
-          pos (stake_event
-                 [ v "tx"; v "chain"; v "validator"; s "withdraw"; v "amt";
-                   any () ]);
-          neg (atom r_exit_validator_slashed [ v "chain"; v "validator" ]);
-        ];
-  ]
+let all_rules =
+  try Xcw_datalog.Parser.parse_program Rules_dl.source
+  with Xcw_datalog.Parser.Parse_error { line; col; message } ->
+    failwith
+      (Printf.sprintf "rules/cross_chain_rules.dl:%d:%d: %s" line col message)
 
-(* ------------------------------------------------------------------ *)
-(* The full program                                                    *)
-
-let core_rules =
-  [
-    rule_1; rule_2; rule_3; rule_4_erc20; rule_4_native; rule_5; rule_6;
-    rule_7; rule_8_erc20; rule_8_native;
-  ]
-
-let auxiliary_rules =
-  bridge_event_rules
-  @ [ transfer_to_bridge_no_event; transfer_from_bridge_no_event ]
-  @ sc_escrow_rules
-  @ [ sc_deposit_event_no_escrow ]
-  @ tc_escrow_rules
-  @ [ tc_withdraw_event_no_escrow ]
-  @ matched_rules @ unmatched_rules @ finality_violation_rules
-  @ mapping_violation_rules @ beneficiary_mismatch_rules
-  @ [ reverted_bridge_interaction ]
-  @ attack_pack_rules
-
-(* Accounting rules are appended last so the "NN:pred" labels of the
-   pre-existing 50 rules — baked into golden fixtures and alert streams
-   — keep their positions. *)
-let all_rules = core_rules @ auxiliary_rules @ accounting_rules
-
-let program : program = { rules = all_rules }
+let program : Xcw_datalog.Ast.program = { rules = all_rules }
 
 let rule_count = List.length all_rules

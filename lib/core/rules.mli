@@ -1,7 +1,9 @@
 (** The cross-chain rules — phase 3 of XChainWatcher (paper Section
-    3.3): rules 1–8 model expected bridge behaviour, and ~36 auxiliary
+    3.3): rules 1–8 model expected bridge behaviour, and the auxiliary
     rules dissect what the core rules fail to capture (Tables 3/4).
-    Relation names are exported for querying the evaluated database. *)
+    The rules are written once, in [rules/cross_chain_rules.dl]; the
+    build embeds that file and {!all_rules} is its parse.  Relation
+    names are exported for querying the evaluated database. *)
 
 (** {1 Core rules (paper rules 1-8)} *)
 
@@ -37,17 +39,12 @@ val r_cctx_valid_withdrawal : string
 
 (** {1 Auxiliary dissection relations} *)
 
-val r_bridge_event_in_tx : string
 val r_transfer_to_bridge_no_event : string
 (** Findings 1/2: [(tx, chain, token, from, amount)]. *)
 
 val r_transfer_from_bridge_no_event : string
 val r_sc_deposit_event_no_escrow : string
 val r_tc_withdraw_event_no_escrow : string
-val r_matched_sc_deposit : string
-val r_matched_tc_deposit : string
-val r_matched_tc_withdrawal : string
-val r_matched_sc_withdrawal : string
 
 val r_unmatched_sc_native_deposit : string
 (** [(tx, ts, amount, deposit_id, token)]; likewise the other
@@ -65,8 +62,6 @@ val r_deposit_finality_violation : string
     finality)]. *)
 
 val r_withdrawal_finality_violation : string
-val r_mapped_dst_token : string
-val r_mapped_src_token : string
 val r_deposit_mapping_violation : string
 val r_withdrawal_mapping_violation : string
 val r_deposit_beneficiary_mismatch : string
@@ -74,9 +69,6 @@ val r_withdrawal_beneficiary_mismatch : string
 val r_reverted_bridge_interaction : string
 
 (** {1 Attack-pack relations (2023 hack corpus)} *)
-
-val r_tc_withdrawal_requested : string
-(** Helper: withdrawal ids requested on T. *)
 
 val r_forged_proof_withdrawal : string
 (** Forged proof/signature acceptance (BNB-style): [(tx, wid,
@@ -87,9 +79,6 @@ val r_validator_takeover_withdrawal : string
 (** Compromised-key takeover (Ronin-style): [(tc_tx, sc_tx, wid, token,
     amt_t, amt_s)] — matching ids but re-signed with a different
     amount. *)
-
-val r_sc_deposit_initiated : string
-(** Helper: deposit ids initiated on S. *)
 
 val r_unauthorized_mint : string
 (** Mint without a matching lock (Qubit-style): [(tx, did, beneficiary,
@@ -117,9 +106,6 @@ val r_exit_deposit_total : string
 val r_exit_claim_total : string
 (** Aggregate: [(origin_chain, token, total_claimed)]. *)
 
-val r_exit_token_deposited : string
-(** Helper: [(origin_chain, token)] pairs with any exit deposit. *)
-
 val r_acc_outflow_violation : string
 (** The conservation law: [(origin_chain, token, claimed, deposited)]
     with [claimed > deposited] (deposited is 0 when the token was
@@ -135,15 +121,12 @@ val r_acc_forged_exit_proof : string
     failed watcher-side verification. *)
 
 val r_acc_stale_root_claim : string
-(** [(tx, chain, leaf, token, amount, epoch, newer)] — a claim proved
+(** [(tx, chain, leaf, token, amount, epoch)] — a claim proved
     against an epoch root after a newer epoch was already attested. *)
 
 val r_acc_root_divergence : string
 (** [(tx, chain, origin_chain, epoch, validator, signed, sealed)] — a
     validator attestation differing from the origin's sealed root. *)
-
-val r_exit_validator_slashed : string
-(** Helper: [(chain, validator)] pairs with a slash stake event. *)
 
 val r_acc_slashing_evasion : string
 (** [(tx, chain, validator, amount)] — a divergent-root validator
@@ -153,22 +136,13 @@ val aggregates : Xcw_datalog.Engine.aggregate list
 (** The two grouped-sum declarations behind the [*_total] relations;
     pass to [Engine.run]/[run_incremental] alongside {!program}. *)
 
-val accounting_rules : Xcw_datalog.Ast.rule list
-(** The nine accounting rules; appended last in {!all_rules} so the
-    position-based rule labels of the pre-existing rules are stable. *)
-
 (** {1 The program} *)
 
-val core_rules : Xcw_datalog.Ast.rule list
-(** Rules 1–8 (the two disjunctive rules compile to two clauses
-    each). *)
-
-val auxiliary_rules : Xcw_datalog.Ast.rule list
-
-val attack_pack_rules : Xcw_datalog.Ast.rule list
-(** The six attack-pack rules (two helpers + four detection heads);
-    included in {!all_rules}. *)
-
 val all_rules : Xcw_datalog.Ast.rule list
+(** The rules of [rules/cross_chain_rules.dl], in file order; a rule's
+    position is its ["NN:pred"] label in alerts and metrics.  A syntax
+    error in the file fails at startup with [Failure] naming its line
+    and column. *)
+
 val program : Xcw_datalog.Ast.program
 val rule_count : int

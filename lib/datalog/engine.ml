@@ -845,9 +845,8 @@ type pr_cache = PC_none | PC_some of Relation.t * Relation.index
    variable slots bound when control reaches a body literal are
    statically known — evaluation is strictly left-to-right, positive
    literals bind all their variables, negations and comparisons bind
-   none — so the per-candidate [bound_positions] scan of the boxed
-   engine (two list allocations per probe) collapses to filling a
-   small int-array key from a precomputed template.  [pr_cache] holds
+   none — so there is no per-candidate scan for bound positions: a
+   probe fills a small int-array key from a precomputed template.  [pr_cache] holds
    the resolved index handle (valid as long as the cached relation is
    the atom's current one — index handles themselves never go stale,
    see {!Relation.find_index}). *)

@@ -134,14 +134,6 @@ val dump_facts : db -> dir:string -> unit
     a [.tmp] sibling and atomically renamed into place, so readers
     never observe a partially written dump. *)
 
-val stratify : rule list -> (rule list * bool) list
-(** Rule groups in evaluation order; the flag marks recursive strata.
-    Raises {!Not_stratifiable} on a negation cycle. *)
-
-val check_rule_safety : rule -> unit
-(** Raises {!Unsafe_rule} if head/negated/compared variables are not
-    bound by positive body literals. *)
-
 type stats = {
   mutable rules_evaluated : int;
   mutable iterations : int;

@@ -10,8 +10,8 @@
     the attacked scenario differs from its twin in exactly the injected
     transactions ({!injected.inj_txs}).
 
-    Every class has a dedicated detection rule
-    ({!Xcw_core.Rules.attack_pack_rules}); the evidence surfaces in
+    Every class has a dedicated detection rule (the attack pack of
+    [rules/cross_chain_rules.dl]); the evidence surfaces in
     {!Xcw_core.Report.attack_rows}. *)
 
 module Report = Xcw_core.Report

@@ -7,8 +7,8 @@
     a presented root and inclusion proof.  The simulated exit contracts
     deliberately verify {e nothing} — the watcher re-verifies every
     proof while decoding ({!Xcw_core.Decoder}) and the pessimistic
-    accounting stratum ({!Xcw_core.Rules.accounting_rules}) derives the
-    violations.
+    accounting stratum (the last rules of [rules/cross_chain_rules.dl])
+    derives the violations.
 
     Five attack classes the pre-existing 50 rules cannot flag are
     injected strictly after the benign build (same differential

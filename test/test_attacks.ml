@@ -27,8 +27,10 @@ module Fault = Xcw_rpc.Fault
 module Pool = Xcw_rpc.Pool
 module Ast = Xcw_datalog.Ast
 module Engine = Xcw_datalog.Engine
+module Naive = Xcw_datalog.Naive
 module Detector = Xcw_core.Detector
 module Decoder = Xcw_core.Decoder
+module Facts = Xcw_core.Facts
 module Report = Xcw_core.Report
 module Rules = Xcw_core.Rules
 module Scenario = Xcw_workload.Scenario
@@ -346,9 +348,9 @@ let probed_program () =
   in
   { Ast.rules = Rules.all_rules @ probes }
 
-let coverage_scenarios () =
+let coverage_scenarios ?(scale = 0.02) () =
   let nomad () =
-    let b = Nomad.build ~seed:11 ~scale:0.02 () in
+    let b = Nomad.build ~seed:11 ~scale () in
     Detector.default_input ~label:"nomad" ~plugin:Decoder.nomad_plugin
       ~config:b.Scenario.config
       ~source_chain:b.Scenario.bridge.Bridge.source.Bridge.chain
@@ -356,7 +358,7 @@ let coverage_scenarios () =
       ~pricing:b.Scenario.pricing
   in
   let ronin () =
-    let b = Ronin.build ~seed:7 ~scale:0.02 () in
+    let b = Ronin.build ~seed:7 ~scale () in
     {
       (Detector.default_input ~label:"ronin" ~plugin:Decoder.ronin_plugin
          ~config:b.Scenario.config
@@ -433,6 +435,65 @@ let rule_coverage =
         "no rule outside the skip-list is uncovered" [] unexpected)
 
 (* ------------------------------------------------------------------ *)
+(* Whole-program oracle: the naive evaluator against the engine         *)
+
+(* Nomad and Ronin shrink to the smallest scale at which each still
+   derives every head it derives at the audit's 0.02 (32 and 29 heads;
+   at 0.001 Ronin loses one), so the naive run stays a few seconds. *)
+let oracle_scale = 0.002
+
+let naive_matches_engine =
+  Alcotest.test_case "naive evaluator = engine on every corpus" `Slow
+    (fun () ->
+      let heads =
+        List.sort_uniq compare
+          (List.map (fun (r : Ast.rule) -> r.Ast.head.Ast.pred) Rules.all_rules)
+      in
+      let relations =
+        heads @ List.map (fun a -> a.Engine.agg_pred) Rules.aggregates
+      in
+      let nonempty = Hashtbl.create 64 in
+      List.iter
+        (fun (name, build_input) ->
+          let input = build_input () in
+          let result = Detector.run input in
+          let edb =
+            Config.to_facts input.Detector.i_config
+            @ List.concat_map
+                (fun (_, rd) -> rd.Decoder.rd_facts)
+                result.Detector.decode_results
+          in
+          let db = Naive.create_db () in
+          List.iter
+            (fun f ->
+              let pred, tuple = Facts.to_tuple f in
+              Naive.add_fact db pred tuple)
+            edb;
+          let derived =
+            Naive.run ~aggregates:Rules.aggregates db Rules.program
+          in
+          List.iter
+            (fun p ->
+              let engine =
+                List.sort compare
+                  (List.map Array.to_list (Engine.facts result.Detector.db p))
+              in
+              if engine <> [] then Hashtbl.replace nonempty p ();
+              let naive = Naive.facts db p in
+              if naive <> engine then
+                Alcotest.failf "%s: %s has %d naive vs %d engine tuples" name p
+                  (List.length naive) (List.length engine))
+            relations;
+          Alcotest.(check int)
+            (name ^ ": derived tuples")
+            result.Detector.rule_stats.Engine.tuples_derived derived)
+        (coverage_scenarios ~scale:oracle_scale ());
+      Alcotest.(check (list string))
+        "rule heads empty in every corpus"
+        [ Rules.r_sc_deposit_event_no_escrow ]
+        (List.filter (fun p -> not (Hashtbl.mem nonempty p)) heads))
+
+(* ------------------------------------------------------------------ *)
 (* Generic token-cap contract                                           *)
 
 let token_cap_raises =
@@ -492,5 +553,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_deterministic;
         ] );
       ("coverage", [ rule_coverage ]);
+      ("oracle", [ naive_matches_engine ]);
       ("generic-contract", [ token_cap_raises ]);
     ]

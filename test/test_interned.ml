@@ -1,10 +1,8 @@
 (* Regression net for the interned, columnar tuple representation.
 
-   The engine now packs every constant into an interned int
-   ([Ast.packed]) and joins over [int array] tuples; the boxed
-   [const array] path survives as [Boxed], a sequential reference
-   implementation.  This suite pins the properties the representation
-   change must preserve:
+   The engine packs every constant into an interned int
+   ([Ast.packed]) and joins over [int array] tuples.  This suite pins
+   the properties that representation must preserve:
 
    - packing is lossless and the symbol table canonical (same string,
      same id — packed equality is structural equality);
@@ -16,9 +14,9 @@
      low-bit mask degrades on;
    - symbol ids are stable across incremental polls and reorg rewinds,
      so a rewind + re-derive yields byte-identical reports;
-   - differentially: the interned engine agrees with the boxed one on
-     random programs — same relations, same derived counts, same TSV
-     bytes — at every worker count. *)
+   - differentially: the engine agrees with the naive reference
+     evaluator ([Naive]) on random programs — same relations, same
+     derived counts — at every worker count. *)
 
 open Xcw_datalog
 open Ast
@@ -142,7 +140,6 @@ let collect_dump dump dir =
   Buffer.contents buf
 
 let engine_dump_bytes db = collect_dump (Engine.dump_facts db) (fresh_dir ())
-let boxed_dump_bytes db = collect_dump (Boxed.dump_facts db) (fresh_dir ())
 
 (* Facts with shared and distinct strings across several relations —
    enough aliasing that a leaked hash order would show. *)
@@ -314,7 +311,7 @@ let symtab_stable_under_rewind =
       | _ -> Alcotest.fail "missing report")
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: qcheck differential, boxed vs interned                    *)
+(* Satellite: qcheck differential against the naive evaluator          *)
 
 (* Random programs: a random non-empty subset of a safe rule pool over
    random edge facts.  Every pool member is range-restricted, so any
@@ -338,43 +335,31 @@ let arb_case = QCheck.make QCheck.Gen.(pair gen_program gen_edges)
 let head_preds rules =
   List.sort_uniq compare ("edge" :: List.map (fun r -> r.head.pred) rules)
 
-let boxed_run rules edges =
-  let db = Boxed.create_db () in
-  List.iter (fun (a, b) -> Boxed.add_fact db "edge" [ Int a; Int b ]) edges;
-  let derived = Boxed.run db { rules } in
-  let sign =
-    List.map
-      (fun p -> (p, Boxed.facts db p))
-      (head_preds rules)
-  in
-  (sign, derived, boxed_dump_bytes db)
+let naive_run rules edges =
+  let db = Naive.create_db () in
+  List.iter (fun (a, b) -> Naive.add_fact db "edge" [ Int a; Int b ]) edges;
+  let derived = Naive.run db { rules } in
+  (List.map (fun p -> (p, Naive.facts db p)) (head_preds rules), derived)
 
-let interned_run ~ndomains rules edges =
+let engine_run ~ndomains rules edges =
   let db = Engine.create_db () in
   List.iter (fun (a, b) -> Engine.add_fact db "edge" [ Int a; Int b ]) edges;
   let stats = Engine.run ~ndomains db { rules } in
-  let sign =
-    List.map
-      (fun p -> (p, Engine.facts db p))
-      (head_preds rules)
-  in
-  (sign, stats.Engine.tuples_derived, engine_dump_bytes db)
+  ( List.map
+      (fun p -> (p, List.map Array.to_list (Engine.facts db p)))
+      (head_preds rules),
+    stats.Engine.tuples_derived )
 
-(* Both engines' signatures are [(pred, const array list) list];
-   compare on lists to keep polymorphic equality structural. *)
-let normalise (sign, derived, bytes) =
-  (List.map (fun (p, ts) -> (p, List.map Array.to_list ts)) sign, derived, bytes)
-
-let prop_boxed_vs_interned =
+let prop_naive_vs_engine =
   QCheck.Test.make
     ~name:
-      "boxed = interned on random programs (relations, counts, TSV bytes) \
-       at --jobs 1/2/4"
+      "naive = engine on random programs (relations, derived counts) at \
+       --jobs 1/2/4"
     ~count:(qcount 40) arb_case
     (fun (rules, edges) ->
-      let reference = normalise (boxed_run rules edges) in
+      let reference = naive_run rules edges in
       List.for_all
-        (fun k -> normalise (interned_run ~ndomains:k rules edges) = reference)
+        (fun k -> engine_run ~ndomains:k rules edges = reference)
         [ 1; 2; 4 ])
 
 (* ------------------------------------------------------------------ *)
@@ -387,5 +372,5 @@ let () =
       ("shards", [ shard_distribution ]);
       ("symtab-stability", [ symtab_stable_under_rewind ]);
       ( "differential",
-        List.map QCheck_alcotest.to_alcotest [ prop_boxed_vs_interned ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_naive_vs_engine ] );
     ]

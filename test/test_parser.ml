@@ -240,28 +240,6 @@ let prop_roundtrip_random_rules =
       let printed = Format.asprintf "%a" pp_rule r in
       canonicalize (parse printed) = canonicalize r)
 
-let dl_file_in_sync =
-  Alcotest.test_case "rules/cross_chain_rules.dl matches the compiled rules"
-    `Quick (fun () ->
-      let path = "../rules/cross_chain_rules.dl" in
-      let path =
-        if Sys.file_exists path then path else "rules/cross_chain_rules.dl"
-      in
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let src = really_input_string ic n in
-      close_in ic;
-      let parsed = Parser.parse_program src in
-      Alcotest.(check int) "same rule count"
-        (List.length Xcw_core.Rules.all_rules)
-        (List.length parsed);
-      List.iter2
-        (fun compiled from_file ->
-          Alcotest.check rule_testable
-            (Printf.sprintf "rule %s in sync" compiled.head.pred)
-            (canonicalize compiled) (canonicalize from_file))
-        Xcw_core.Rules.all_rules parsed)
-
 let () =
   Alcotest.run "parser"
     [
@@ -282,7 +260,6 @@ let () =
       ( "round-trip",
         [
           roundtrip_all_cross_chain_rules;
-          dl_file_in_sync;
           parsed_rules_evaluate_identically;
           QCheck_alcotest.to_alcotest prop_roundtrip_random_rules;
         ] );

@@ -380,6 +380,43 @@ let prop_rule4_complete =
       in
       count db Rules.r_cctx_valid_deposit = 1)
 
+(* Every relation name [Rules] exports must name something the program
+   derives, so renaming a relation in the .dl fails here, with its
+   name, instead of silently emptying a report section. *)
+let exported_names_are_derived =
+  Alcotest.test_case "every exported relation name is derived" `Quick
+    (fun () ->
+      let derived =
+        List.map (fun r -> r.head.pred) Rules.all_rules
+        @ List.map (fun a -> a.Engine.agg_pred) Rules.aggregates
+      in
+      List.iter
+        (fun name ->
+          if not (List.mem name derived) then
+            Alcotest.failf "Rules exports %S, which no rule or aggregate derives"
+              name)
+        Rules.
+          [
+            r_sc_valid_native_deposit; r_sc_valid_erc20_deposit;
+            r_tc_valid_erc20_deposit; r_cctx_valid_deposit;
+            r_tc_valid_native_withdrawal; r_tc_valid_erc20_withdrawal;
+            r_sc_valid_erc20_withdrawal; r_cctx_valid_withdrawal;
+            r_transfer_to_bridge_no_event; r_transfer_from_bridge_no_event;
+            r_sc_deposit_event_no_escrow; r_tc_withdraw_event_no_escrow;
+            r_unmatched_sc_native_deposit; r_unmatched_sc_erc20_deposit;
+            r_unmatched_tc_deposit; r_unmatched_tc_native_withdrawal;
+            r_unmatched_tc_erc20_withdrawal; r_unmatched_sc_withdrawal;
+            r_deposit_finality_violation; r_withdrawal_finality_violation;
+            r_deposit_mapping_violation; r_withdrawal_mapping_violation;
+            r_deposit_beneficiary_mismatch; r_withdrawal_beneficiary_mismatch;
+            r_reverted_bridge_interaction; r_forged_proof_withdrawal;
+            r_validator_takeover_withdrawal; r_unauthorized_mint;
+            r_inconsistent_deposit_event; r_exit_deposit_total;
+            r_exit_claim_total; r_acc_outflow_violation; r_acc_outflow_tx;
+            r_acc_forged_exit_proof; r_acc_stale_root_claim;
+            r_acc_root_divergence; r_acc_slashing_evasion;
+          ])
+
 let () =
   Alcotest.run "rules"
     [
@@ -419,4 +456,5 @@ let () =
           reverted_bridge_interactions_flagged;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_rule4_complete ]);
+      ("names", [ exported_names_are_derived ]);
     ]
