@@ -635,7 +635,6 @@ let bench_accounting () =
 
 let bench_obs () =
   let module Monitor = Xcw_core.Monitor in
-  let module Erc20 = Xcw_chain.Erc20 in
   let module U256 = Xcw_uint256.Uint256 in
   let module Json = Xcw_util.Json in
   let module Metrics = Xcw_obs.Metrics in
@@ -671,16 +670,15 @@ let bench_obs () =
             ~source_chain:src ~target_chain:dst ~pricing:b.Scenario.pricing
         in
         let mon = Monitor.create ~metrics input in
-        let m = List.hd bridge.Bridge.mappings in
+        (* A token of a verified mapping, as in [monitor_steady_state]:
+           the head of [bridge.mappings] is Nomad's unverified WGLMR
+           pair, over which every deposit is a mapping violation. *)
+        let rt = List.hd b.Scenario.tokens in
+        let m = rt.Scenario.rt_mapping in
         let user = Address.of_seed "obs-user" in
         Chain.fund src user (U256.of_tokens ~decimals:18 10);
         Chain.fund dst user (U256.of_tokens ~decimals:18 10);
-        ignore
-          (Chain.submit_tx src ~from_:bridge.Bridge.source.Bridge.operator
-             ~to_:m.Bridge.m_src_token
-             ~input:
-               (Erc20.mint_calldata ~to_:user ~amount:(U256.of_int 10_000_000))
-             ());
+        Scenario.mint_src bridge rt user (U256.of_int 10_000_000);
         let cur () =
           ( List.length (Chain.all_blocks src),
             List.length (Chain.all_blocks dst) )
@@ -697,7 +695,12 @@ let bench_obs () =
             ignore (Bridge.complete_deposit bridge ~deposit:d)
           done;
           let sb, tb = cur () in
-          ignore (Monitor.poll mon ~source_block:sb ~target_block:tb)
+          match Monitor.poll mon ~source_block:sb ~target_block:tb with
+          | [] -> ()
+          | a :: _ ->
+              failwith
+                (Printf.sprintf "obs: benign traffic raised an alert (%s)"
+                   a.Monitor.al_rule)
         done;
         (1000.0 *. (Unix.gettimeofday () -. t0), mon))
   in

@@ -59,6 +59,7 @@ and t = {
   traces : (Types.hash, Types.call_frame) Hashtbl.t;
   mutable blocks : Types.block list;  (** newest first *)
   mutable tx_order : Types.hash list;  (** newest first *)
+  mutable tx_count : int;  (** [List.length tx_order] *)
   (* Per-transaction execution state. *)
   mutable journal : (unit -> unit) list;  (** undo closures, newest first *)
   mutable pending_logs : Types.log list;  (** reversed *)
@@ -82,6 +83,7 @@ let create ~chain_id ~name ~finality_seconds ~genesis_time =
     traces = Hashtbl.create 4096;
     blocks = [];
     tx_order = [];
+    tx_count = 0;
     journal = [];
     pending_logs = [];
     next_log_index = 0;
@@ -264,6 +266,10 @@ let mine_block t tx_hash =
   t.blocks <- block :: t.blocks;
   block
 
+let record_tx t tx_hash =
+  t.tx_order <- tx_hash :: t.tx_order;
+  t.tx_count <- t.tx_count + 1
+
 (** Submit and execute a transaction.  One block is mined per
     transaction at the chain's current time.  Reverted transactions roll
     back all state changes but are still recorded on chain (with status
@@ -331,7 +337,7 @@ let submit_tx ?(value = U256.zero) ?(input = "") ?(gas_price = U256.zero)
   Hashtbl.replace t.transactions tx_hash tx;
   Hashtbl.replace t.receipts tx_hash receipt;
   Option.iter (fun tr -> Hashtbl.replace t.traces tx_hash tr) trace;
-  t.tx_order <- tx_hash :: t.tx_order;
+  record_tx t tx_hash;
   receipt
 
 (** Deploy a contract from an EOA; returns its address.  Recorded as a
@@ -372,7 +378,7 @@ let deploy ?(label = "contract") t ~from_ (dispatch : env -> unit) : Address.t
   in
   Hashtbl.replace t.transactions tx_hash tx;
   Hashtbl.replace t.receipts tx_hash receipt;
-  t.tx_order <- tx_hash :: t.tx_order;
+  record_tx t tx_hash;
   addr
 
 (* ------------------------------------------------------------------ *)
@@ -386,6 +392,19 @@ let trace t h = Hashtbl.find_opt t.traces h
 let all_receipts t =
   List.rev_map (fun h -> Hashtbl.find t.receipts h) t.tx_order
 
+(** Receipts [k, n) in chain order, for [n] transactions: walks only
+    the [n - k] newest entries of [tx_order]. *)
+let receipts_from t k =
+  if k < 0 || k > t.tx_count then invalid_arg "Chain.receipts_from";
+  let rec take n order acc =
+    if n = 0 then acc
+    else
+      match order with
+      | h :: rest -> take (n - 1) rest (Hashtbl.find t.receipts h :: acc)
+      | [] -> assert false
+  in
+  take (t.tx_count - k) t.tx_order []
+
 let all_blocks t = List.rev t.blocks
 
-let transaction_count t = List.length t.tx_order
+let transaction_count t = t.tx_count

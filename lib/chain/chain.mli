@@ -55,6 +55,7 @@ and t = {
   traces : (Types.hash, Types.call_frame) Hashtbl.t;
   mutable blocks : Types.block list;
   mutable tx_order : Types.hash list;
+  mutable tx_count : int;
   mutable journal : (unit -> unit) list;
   mutable pending_logs : Types.log list;
   mutable next_log_index : int;
@@ -116,6 +117,13 @@ val trace : t -> Types.hash -> Types.call_frame option
 
 val all_receipts : t -> Types.receipt list
 (** Chain order, oldest first. *)
+
+val receipts_from : t -> int -> Types.receipt list
+(** [receipts_from t k] is the suffix of {!all_receipts} from index [k]
+    (chain order), in time proportional to its length — how a watcher
+    extends its receipt index by the transactions added since it last
+    looked.  Raises [Invalid_argument] unless
+    [0 <= k <= transaction_count t]. *)
 
 val all_blocks : t -> Types.block list
 val transaction_count : t -> int

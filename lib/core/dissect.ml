@@ -2,8 +2,11 @@
     anomaly report (the logic behind Tables 3 and 4).
 
     Shared by the batch {!Detector} and the streaming {!Monitor}: both
-    evaluate the rules into a database, then call {!dissect} to turn
-    the derived relations plus decoder errors into {!Report.t}. *)
+    evaluate the rules into a database.  The detector calls {!dissect}
+    for the whole {!Report.t}; a monitor poll calls {!alert_rows}, which
+    builds only the rows an alert can come from and leaves out the cctx
+    dataset and attack tables, whose size and pricing cost follow the
+    history. *)
 
 module Engine = Xcw_datalog.Engine
 open Xcw_datalog.Ast
@@ -16,11 +19,9 @@ let str_at (t : const array) i =
 let int_at (t : const array) i =
   match t.(i) with Int n -> n | Str _ -> invalid_arg "int_at: string field"
 
-let dissect ~label ~(config : Config.t) ~(pricing : Pricing.t)
+let alert_rows ~(config : Config.t) ~(pricing : Pricing.t)
     ~(first_window_withdrawal_id : int option)
-    ~(decode_errors : Decoder.decode_error list) ~(db : Engine.db)
-    ?(decode_seconds = 0.0) ?(eval_seconds = 0.0)
-    ?(simulated_rpc_seconds = 0.0) ?total_facts () : Report.t =
+    ~(decode_errors : Decoder.decode_error list) ~(db : Engine.db) =
   let src_chain_id = config.Config.source_chain_id in
   let dst_chain_id = config.Config.target_chain_id in
   let facts_of = Engine.facts db in
@@ -33,9 +34,7 @@ let dissect ~label ~(config : Config.t) ~(pricing : Pricing.t)
       (facts_of pred);
     fun key -> Hashtbl.mem tbl key
   in
-  let usd ~chain_id ~token amount_str =
-    Pricing.usd_value_str pricing ~chain_id ~token amount_str
-  in
+  let usd = Pricing.usd_value_str pricing in
   (* Row 2 anomalies: transfers into the bridge without a bridge event,
      classified by token reputation (Findings 1 and 2). *)
   let transfer_to_bridge_anomalies =
@@ -213,6 +212,178 @@ let dissect ~label ~(config : Config.t) ~(pricing : Pricing.t)
         })
       (facts_of Rules.r_transfer_from_bridge_no_event)
   in
+  (* --- pessimistic-accounting tables (PR 10) ------------------------ *)
+  (* Exit-bridge amounts are small ints in token base units; the
+     workload prices exit tokens at $1 with 0 decimals, so the USD
+     value is the amount itself. *)
+  let stale_root_hits =
+    List.map
+      (fun t ->
+        let leaf = int_at t 2 and amt = int_at t 4 in
+        {
+          Report.ah_tx_hash = str_at t 0;
+          ah_chain_id = int_at t 1;
+          ah_id = leaf;
+          ah_usd_value = float_of_int amt;
+          ah_detail =
+            Printf.sprintf
+              "leaf %d claimed %d of %s against the superseded epoch-%d root"
+              leaf amt (str_at t 3) (int_at t 5);
+        })
+      (facts_of Rules.r_acc_stale_root_claim)
+  in
+  let forged_exit_hits =
+    List.map
+      (fun t ->
+        let leaf = int_at t 2 and amt = int_at t 4 in
+        {
+          Report.ah_tx_hash = str_at t 0;
+          ah_chain_id = int_at t 1;
+          ah_id = leaf;
+          ah_usd_value = float_of_int amt;
+          ah_detail =
+            Printf.sprintf "leaf %d claimed %d of %s with a non-verifying proof"
+              leaf amt (str_at t 3);
+        })
+      (facts_of Rules.r_acc_forged_exit_proof)
+  in
+  let divergence_hits =
+    List.map
+      (fun t ->
+        let epoch = int_at t 3 in
+        {
+          Report.ah_tx_hash = str_at t 0;
+          ah_chain_id = int_at t 1;
+          ah_id = epoch;
+          ah_usd_value = 0.0;
+          ah_detail =
+            Printf.sprintf
+              "validator %s attested root %s for chain-%d epoch %d, sealed %s"
+              (str_at t 4) (str_at t 5) (int_at t 2) epoch (str_at t 6);
+        })
+      (facts_of Rules.r_acc_root_divergence)
+  in
+  let net_outflow_hits =
+    List.map
+      (fun t ->
+        let amt = int_at t 4 in
+        {
+          Report.ah_tx_hash = str_at t 0;
+          ah_chain_id = int_at t 1;
+          ah_id = 0;
+          ah_usd_value = float_of_int amt;
+          ah_detail =
+            Printf.sprintf
+              "claim of %d draws on over-claimed pool (chain %d, token %s)"
+              amt (int_at t 2) (str_at t 3);
+        })
+      (facts_of Rules.r_acc_outflow_tx)
+  in
+  let slashing_evasion_hits =
+    List.map
+      (fun t ->
+        let amt = int_at t 3 in
+        {
+          Report.ah_tx_hash = str_at t 0;
+          ah_chain_id = int_at t 1;
+          ah_id = 0;
+          ah_usd_value = float_of_int amt;
+          ah_detail =
+            Printf.sprintf
+              "divergent validator %s withdrew stake %d without being slashed"
+              (str_at t 2) amt;
+        })
+      (facts_of Rules.r_acc_slashing_evasion)
+  in
+  let acc_rows =
+    [
+      {
+        Report.xr_class = Report.Stale_root_claim;
+        xr_rule = Rules.r_acc_stale_root_claim;
+        xr_hits = stale_root_hits;
+      };
+      {
+        Report.xr_class = Report.Forged_exit_proof;
+        xr_rule = Rules.r_acc_forged_exit_proof;
+        xr_hits = forged_exit_hits;
+      };
+      {
+        Report.xr_class = Report.Root_divergence;
+        xr_rule = Rules.r_acc_root_divergence;
+        xr_hits = divergence_hits;
+      };
+      {
+        Report.xr_class = Report.Exit_net_outflow;
+        xr_rule = Rules.r_acc_outflow_tx;
+        xr_hits = net_outflow_hits;
+      };
+      {
+        Report.xr_class = Report.Slashing_evasion;
+        xr_rule = Rules.r_acc_slashing_evasion;
+        xr_hits = slashing_evasion_hits;
+      };
+    ]
+  in
+  let rows =
+    [
+      {
+        Report.rr_rule = "1. SC_ValidNativeTokenDeposit";
+        rr_captured = count_of Rules.r_sc_valid_native_deposit;
+        rr_anomalies = [];
+      };
+      {
+        Report.rr_rule = "2. SC_ValidERC20TokenDeposit";
+        rr_captured = count_of Rules.r_sc_valid_erc20_deposit;
+        rr_anomalies = transfer_to_bridge_anomalies @ sc_deposit_no_escrow_anomalies;
+      };
+      {
+        Report.rr_rule = "3. TC_ValidERC20TokenDeposit";
+        rr_captured = count_of Rules.r_tc_valid_erc20_deposit;
+        rr_anomalies = [];
+      };
+      {
+        Report.rr_rule = "4. CCTX_ValidDeposit";
+        rr_captured = count_of Rules.r_cctx_valid_deposit;
+        rr_anomalies = deposit_anomalies;
+      };
+      {
+        Report.rr_rule = "5. TC_ValidNativeTokenWithdrawal";
+        rr_captured = count_of Rules.r_tc_valid_native_withdrawal;
+        rr_anomalies = [];
+      };
+      {
+        Report.rr_rule = "6. TC_ValidERC20TokenWithdrawal";
+        rr_captured = count_of Rules.r_tc_valid_erc20_withdrawal;
+        rr_anomalies =
+          unparseable_anomalies @ failed_exploit_anomalies
+          @ tc_withdraw_no_escrow_anomalies;
+      };
+      {
+        Report.rr_rule = "7. SC_ValidERC20TokenWithdrawal";
+        rr_captured = count_of Rules.r_sc_valid_erc20_withdrawal;
+        rr_anomalies = transfer_from_bridge_anomalies;
+      };
+      {
+        Report.rr_rule = "8. CCTX_ValidWithdrawal";
+        rr_captured = count_of Rules.r_cctx_valid_withdrawal;
+        rr_anomalies = withdrawal_anomalies;
+      };
+    ]
+  in
+  (rows, acc_rows)
+
+let dissect ~label ~(config : Config.t) ~(pricing : Pricing.t)
+    ~(first_window_withdrawal_id : int option)
+    ~(decode_errors : Decoder.decode_error list) ~(db : Engine.db)
+    ?(decode_seconds = 0.0) ?(eval_seconds = 0.0)
+    ?(simulated_rpc_seconds = 0.0) ?total_facts () : Report.t =
+  let rows, acc_rows =
+    alert_rows ~config ~pricing ~first_window_withdrawal_id ~decode_errors ~db
+  in
+  let src_chain_id = config.Config.source_chain_id in
+  let dst_chain_id = config.Config.target_chain_id in
+  let facts_of = Engine.facts db in
+  let usd = Pricing.usd_value_str pricing in
   (* --- cctx dataset -------------------------------------------------- *)
   let cctx_deposits =
     List.map
@@ -351,164 +522,6 @@ let dissect ~label ~(config : Config.t) ~(pricing : Pricing.t)
         Report.ar_class = Report.Inconsistent_event;
         ar_rule = Rules.r_inconsistent_deposit_event;
         ar_hits = inconsistent_event_hits;
-      };
-    ]
-  in
-  (* --- pessimistic-accounting tables (PR 10) ------------------------ *)
-  (* Exit-bridge amounts are small ints in token base units; the
-     workload prices exit tokens at $1 with 0 decimals, so the USD
-     value is the amount itself. *)
-  let stale_root_hits =
-    List.map
-      (fun t ->
-        let leaf = int_at t 2 and amt = int_at t 4 in
-        {
-          Report.ah_tx_hash = str_at t 0;
-          ah_chain_id = int_at t 1;
-          ah_id = leaf;
-          ah_usd_value = float_of_int amt;
-          ah_detail =
-            Printf.sprintf
-              "leaf %d claimed %d of %s against the superseded epoch-%d root"
-              leaf amt (str_at t 3) (int_at t 5);
-        })
-      (facts_of Rules.r_acc_stale_root_claim)
-  in
-  let forged_exit_hits =
-    List.map
-      (fun t ->
-        let leaf = int_at t 2 and amt = int_at t 4 in
-        {
-          Report.ah_tx_hash = str_at t 0;
-          ah_chain_id = int_at t 1;
-          ah_id = leaf;
-          ah_usd_value = float_of_int amt;
-          ah_detail =
-            Printf.sprintf "leaf %d claimed %d of %s with a non-verifying proof"
-              leaf amt (str_at t 3);
-        })
-      (facts_of Rules.r_acc_forged_exit_proof)
-  in
-  let divergence_hits =
-    List.map
-      (fun t ->
-        let epoch = int_at t 3 in
-        {
-          Report.ah_tx_hash = str_at t 0;
-          ah_chain_id = int_at t 1;
-          ah_id = epoch;
-          ah_usd_value = 0.0;
-          ah_detail =
-            Printf.sprintf
-              "validator %s attested root %s for chain-%d epoch %d, sealed %s"
-              (str_at t 4) (str_at t 5) (int_at t 2) epoch (str_at t 6);
-        })
-      (facts_of Rules.r_acc_root_divergence)
-  in
-  let net_outflow_hits =
-    List.map
-      (fun t ->
-        let amt = int_at t 4 in
-        {
-          Report.ah_tx_hash = str_at t 0;
-          ah_chain_id = int_at t 1;
-          ah_id = 0;
-          ah_usd_value = float_of_int amt;
-          ah_detail =
-            Printf.sprintf
-              "claim of %d draws on over-claimed pool (chain %d, token %s)"
-              amt (int_at t 2) (str_at t 3);
-        })
-      (facts_of Rules.r_acc_outflow_tx)
-  in
-  let slashing_evasion_hits =
-    List.map
-      (fun t ->
-        let amt = int_at t 3 in
-        {
-          Report.ah_tx_hash = str_at t 0;
-          ah_chain_id = int_at t 1;
-          ah_id = 0;
-          ah_usd_value = float_of_int amt;
-          ah_detail =
-            Printf.sprintf
-              "divergent validator %s withdrew stake %d without being slashed"
-              (str_at t 2) amt;
-        })
-      (facts_of Rules.r_acc_slashing_evasion)
-  in
-  let acc_rows =
-    [
-      {
-        Report.xr_class = Report.Stale_root_claim;
-        xr_rule = Rules.r_acc_stale_root_claim;
-        xr_hits = stale_root_hits;
-      };
-      {
-        Report.xr_class = Report.Forged_exit_proof;
-        xr_rule = Rules.r_acc_forged_exit_proof;
-        xr_hits = forged_exit_hits;
-      };
-      {
-        Report.xr_class = Report.Root_divergence;
-        xr_rule = Rules.r_acc_root_divergence;
-        xr_hits = divergence_hits;
-      };
-      {
-        Report.xr_class = Report.Exit_net_outflow;
-        xr_rule = Rules.r_acc_outflow_tx;
-        xr_hits = net_outflow_hits;
-      };
-      {
-        Report.xr_class = Report.Slashing_evasion;
-        xr_rule = Rules.r_acc_slashing_evasion;
-        xr_hits = slashing_evasion_hits;
-      };
-    ]
-  in
-  let rows =
-    [
-      {
-        Report.rr_rule = "1. SC_ValidNativeTokenDeposit";
-        rr_captured = count_of Rules.r_sc_valid_native_deposit;
-        rr_anomalies = [];
-      };
-      {
-        Report.rr_rule = "2. SC_ValidERC20TokenDeposit";
-        rr_captured = count_of Rules.r_sc_valid_erc20_deposit;
-        rr_anomalies = transfer_to_bridge_anomalies @ sc_deposit_no_escrow_anomalies;
-      };
-      {
-        Report.rr_rule = "3. TC_ValidERC20TokenDeposit";
-        rr_captured = count_of Rules.r_tc_valid_erc20_deposit;
-        rr_anomalies = [];
-      };
-      {
-        Report.rr_rule = "4. CCTX_ValidDeposit";
-        rr_captured = List.length cctx_deposits;
-        rr_anomalies = deposit_anomalies;
-      };
-      {
-        Report.rr_rule = "5. TC_ValidNativeTokenWithdrawal";
-        rr_captured = count_of Rules.r_tc_valid_native_withdrawal;
-        rr_anomalies = [];
-      };
-      {
-        Report.rr_rule = "6. TC_ValidERC20TokenWithdrawal";
-        rr_captured = count_of Rules.r_tc_valid_erc20_withdrawal;
-        rr_anomalies =
-          unparseable_anomalies @ failed_exploit_anomalies
-          @ tc_withdraw_no_escrow_anomalies;
-      };
-      {
-        Report.rr_rule = "7. SC_ValidERC20TokenWithdrawal";
-        rr_captured = count_of Rules.r_sc_valid_erc20_withdrawal;
-        rr_anomalies = transfer_from_bridge_anomalies;
-      };
-      {
-        Report.rr_rule = "8. CCTX_ValidWithdrawal";
-        rr_captured = List.length cctx_withdrawals;
-        rr_anomalies = withdrawal_anomalies;
       };
     ]
   in

@@ -8,6 +8,17 @@ val str_at : Xcw_datalog.Ast.const array -> int -> string
 val int_at : Xcw_datalog.Ast.const array -> int -> int
 (** Tuple field as an int; raises [Invalid_argument] on strings. *)
 
+val alert_rows :
+  config:Config.t ->
+  pricing:Pricing.t ->
+  first_window_withdrawal_id:int option ->
+  decode_errors:Decoder.decode_error list ->
+  db:Xcw_datalog.Engine.db ->
+  Report.rule_row list * Report.acc_row list
+(** The report's rule rows 1-8 and accounting rows — exactly
+    [(r.rows, r.acc_rows)] of the {!dissect} result [r] — without the
+    cctx dataset and attack tables. *)
+
 val dissect :
   label:string ->
   config:Config.t ->

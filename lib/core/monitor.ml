@@ -14,10 +14,20 @@
     semi-naive delta — strata untouched by the new facts do no work,
     and the non-monotonic anomaly relations (an "unmatched" deposit
     becomes matched when its completion lands) are retracted and
-    re-derived in place.  Per-poll cost is therefore proportional to
-    the new blocks, not to the full history (see the
-    [monitor_steady_state] bench).  [create ~incremental:false] keeps
-    the original rebuild-everything behaviour for comparison.
+    re-derived in place.  The bookkeeping around it is O(new receipts)
+    too: a per-side receipt index extended through
+    [Chain.receipts_from], fact and trace-gap counts kept on entry add
+    and remove, a decode-error list rebuilt only when an entry carrying
+    errors comes or goes, and an alert scan over the rule and
+    accounting rows only (the full report is built on demand by
+    {!last_report}).  What a poll still pays per unit of history: the
+    negation strata that [run_incremental] recomputes from scratch (8
+    per Nomad stream poll), the anomaly-row scan (each anomaly relation
+    is read and sorted whole), and, with a checkpoint, every
+    [snapshot_every]-th poll's snapshot of all entries and derived
+    relations.  [create ~incremental:false] keeps the original
+    rebuild-everything behaviour for comparison (see the
+    [monitor_steady_state] bench).
 
     The monitor degrades gracefully under RPC faults (see
     {!Xcw_rpc.Fault}): a receipt whose fetch or decode fails stays
@@ -227,6 +237,17 @@ type side = {
   sd_cursor : Cursor.t;
   sd_entries : (int, entry) Hashtbl.t;  (** receipt index -> decode *)
   mutable sd_requested : int;  (** highest block cursor ever requested *)
+  mutable sd_receipts : Types.receipt array;
+      (** the chain's receipts [0, sd_len) in chain order, extended by
+          {!sync_receipts}; capacity grows by doubling *)
+  mutable sd_len : int;
+  (* Kept in step with [sd_entries] by [add_entry]/[remove_entry], so
+     gauges and [health] never fold over the history. *)
+  mutable sd_facts : int;
+  mutable sd_trace_gaps : int;
+  mutable sd_errors : Decoder.decode_error list option;
+      (** decode errors in receipt order; [None] after an entry carrying
+          errors was added or removed *)
 }
 
 type health = {
@@ -266,7 +287,10 @@ type t = {
   (* Anomaly keys already alerted: (rule, class name, tx hash). *)
   m_known : (string * string * string, unit) Hashtbl.t;
   mutable m_polls : int;
-  mutable m_last_report : Report.t option;
+  (* The database as of the last poll whose rule evaluation completed;
+     [None] while a poll is updating it, so a poll that raises leaves
+     nothing half-updated for {!last_report} to dissect. *)
+  mutable m_evaluated : Engine.db option;
   mutable m_reorgs : int;
   mutable m_last_error : string option;
   (* Durable-state extension (PR 9): per-poll WAL + snapshots. *)
@@ -295,6 +319,11 @@ let make_side ~input ~role ~chain ~profile ~fault ~endpoint_faults ~seed
     sd_cursor = Cursor.create ();
     sd_entries = Hashtbl.create 64;
     sd_requested = 0;
+    sd_receipts = [||];
+    sd_len = 0;
+    sd_facts = 0;
+    sd_trace_gaps = 0;
+    sd_errors = Some [];
   }
 
 let make_obs reg =
@@ -317,15 +346,38 @@ let sorted_entries s =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
 
+let remove_entry s i =
+  match Hashtbl.find_opt s.sd_entries i with
+  | None -> ()
+  | Some e ->
+      Hashtbl.remove s.sd_entries i;
+      s.sd_facts <- s.sd_facts - List.length e.e_facts;
+      if e.e_trace_gap then s.sd_trace_gaps <- s.sd_trace_gaps - 1;
+      if e.e_errors <> [] then s.sd_errors <- None
+
+let add_entry s i e =
+  remove_entry s i;
+  Hashtbl.replace s.sd_entries i e;
+  s.sd_facts <- s.sd_facts + List.length e.e_facts;
+  if e.e_trace_gap then s.sd_trace_gaps <- s.sd_trace_gaps + 1;
+  if e.e_errors <> [] then s.sd_errors <- None
+
+let side_errors s =
+  match s.sd_errors with
+  | Some errors -> errors
+  | None ->
+      let errors = List.concat_map (fun e -> e.e_errors) (sorted_entries s) in
+      s.sd_errors <- Some errors;
+      errors
+
 (* Facts of every decoded receipt, source side first, receipt order —
    the same order the batch detector produces them in. *)
 let all_entry_facts t =
   List.concat_map (fun e -> e.e_facts) (sorted_entries t.m_src)
   @ List.concat_map (fun e -> e.e_facts) (sorted_entries t.m_dst)
 
-let all_decode_errors t =
-  List.concat_map (fun e -> e.e_errors) (sorted_entries t.m_src)
-  @ List.concat_map (fun e -> e.e_errors) (sorted_entries t.m_dst)
+let all_decode_errors t = side_errors t.m_src @ side_errors t.m_dst
+let facts_cached t = t.m_src.sd_facts + t.m_dst.sd_facts
 
 (* ------------------------------------------------------------------ *)
 (* Durable state codec                                                 *)
@@ -408,9 +460,9 @@ let put_side sym b s ~removed ~added =
 let apply_side sym r s =
   s.sd_requested <- CR.int r;
   let removed = CR.list r (fun () -> CR.int r) in
-  List.iter (Hashtbl.remove s.sd_entries) removed;
+  List.iter (remove_entry s) removed;
   let added = CR.list r (fun () -> get_entry sym r) in
-  List.iter (fun (i, e) -> Hashtbl.replace s.sd_entries i e) added;
+  List.iter (fun (i, e) -> add_entry s i e) added;
   (List.length removed, added)
 
 (* Shared core of WAL records and snapshots; [known] distinguishes
@@ -619,7 +671,7 @@ let create ?(incremental = true) ?metrics ?checkpoint (input : Detector.input)
       m_db = db;
       m_known = Hashtbl.create 256;
       m_polls = 0;
-      m_last_report = None;
+      m_evaluated = None;
       m_reorgs = 0;
       m_last_error = None;
       m_ckpt = checkpoint;
@@ -630,13 +682,30 @@ let create ?(incremental = true) ?metrics ?checkpoint (input : Detector.input)
   (match checkpoint with None -> () | Some ck -> recover t ck);
   t
 
-let block_of_receipts receipts i = receipts.(i).Types.r_block_number
+(* Extend the receipt index by the receipts the chain gained since the
+   previous call: O(new receipts), where re-listing the chain is
+   O(history). *)
+let sync_receipts s =
+  match Chain.receipts_from s.sd_chain s.sd_len with
+  | [] -> ()
+  | fresh ->
+      let len = s.sd_len + List.length fresh in
+      if len > Array.length s.sd_receipts then begin
+        let grown =
+          Array.make (max len (2 * Array.length s.sd_receipts)) (List.hd fresh)
+        in
+        Array.blit s.sd_receipts 0 grown 0 s.sd_len;
+        s.sd_receipts <- grown
+      end;
+      List.iteri (fun j r -> s.sd_receipts.(s.sd_len + j) <- r) fresh;
+      s.sd_len <- len
+
+let block_of s i = s.sd_receipts.(i).Types.r_block_number
 
 let pending_count s =
-  let receipts = Array.of_list (Chain.all_receipts s.sd_chain) in
-  Cursor.candidates s.sd_cursor
-    ~block_of:(block_of_receipts receipts)
-    ~len:(Array.length receipts) ~up_to:s.sd_requested
+  sync_receipts s;
+  Cursor.candidates s.sd_cursor ~block_of:(block_of s) ~len:s.sd_len
+    ~up_to:s.sd_requested
   |> List.length
 
 (* Advance one side: observe the node's head (which may lag or signal a
@@ -654,8 +723,7 @@ let poll_side t s ~up_to_block =
       t.m_last_error <- Some (Rpc.error_to_string e);
       ([], false, [], [])
   | Ok hv ->
-      let receipts = Array.of_list (Chain.all_receipts s.sd_chain) in
-      let block_of = block_of_receipts receipts in
+      sync_receipts s;
       let rewound, removed =
         match hv.Rpc.hv_reorged_to with
         | None -> (false, [])
@@ -669,18 +737,18 @@ let poll_side t s ~up_to_block =
             in
             if dropped = [] then (false, [])
             else begin
-              List.iter (Hashtbl.remove s.sd_entries) dropped;
-              Cursor.rewind s.sd_cursor ~block_of ~above:surviving;
+              List.iter (remove_entry s) dropped;
+              Cursor.rewind s.sd_cursor ~block_of:(block_of s) ~above:surviving;
               (true, dropped)
             end
       in
       let chain_id = s.sd_chain.Chain.chain_id in
       let added = ref [] in
       let fresh =
-        Cursor.candidates s.sd_cursor ~block_of ~len:(Array.length receipts)
+        Cursor.candidates s.sd_cursor ~block_of:(block_of s) ~len:s.sd_len
           ~up_to:hv.Rpc.hv_head
         |> List.concat_map (fun i ->
-               let r = receipts.(i) in
+               let r = s.sd_receipts.(i) in
                let fetch = Client.get_receipt s.sd_client r.Types.r_tx_hash in
                match fetch.Rpc.value with
                | Error e ->
@@ -705,7 +773,7 @@ let poll_side t s ~up_to_block =
                            e_trace_gap = rd.Decoder.rd_trace_gap;
                          }
                        in
-                       Hashtbl.replace s.sd_entries i entry;
+                       add_entry s i entry;
                        added := (i, entry) :: !added;
                        rd.Decoder.rd_facts))
       in
@@ -722,7 +790,7 @@ let rec poll t ~source_block ~target_block : alert list =
   Metrics.Counter.inc obs.mo_polls;
   let live = Metrics.enabled obs.mo_reg in
   let t0 = if live then Unix.gettimeofday () else 0. in
-  let alerts =
+  let alerts, ps, pd =
     Span.with_
       ~attrs:
         [
@@ -734,21 +802,18 @@ let rec poll t ~source_block ~target_block : alert list =
   in
   if live then begin
     Metrics.Histogram.observe obs.mo_poll_seconds (Unix.gettimeofday () -. t0);
-    let ps = pending_count t.m_src and pd = pending_count t.m_dst in
     Metrics.Gauge.set obs.mo_pending_src (float_of_int ps);
     Metrics.Gauge.set obs.mo_pending_dst (float_of_int pd);
     Metrics.Gauge.set obs.mo_synced (if ps = 0 && pd = 0 then 1. else 0.);
-    (* Count without materializing the (large) concatenated fact list. *)
-    let side_facts s =
-      Hashtbl.fold (fun _ e acc -> acc + List.length e.e_facts) s.sd_entries 0
-    in
-    Metrics.Gauge.set obs.mo_facts
-      (float_of_int (side_facts t.m_src + side_facts t.m_dst))
+    Metrics.Gauge.set obs.mo_facts (float_of_int (facts_cached t))
   end;
   Metrics.Counter.add obs.mo_alerts (List.length alerts);
   alerts
 
-and poll_body t ~source_block ~target_block : alert list =
+(* Returns the poll's alerts and its pending receipt counts (source,
+   target). *)
+and poll_body t ~source_block ~target_block =
+  t.m_evaluated <- None;
   let src_fresh, src_rewound, src_removed, src_added =
     poll_side t t.m_src ~up_to_block:source_block
   in
@@ -792,33 +857,27 @@ and poll_body t ~source_block ~target_block : alert list =
       db
     end
   in
-  (* Reuse the detector's dissection logic by running it over a
-     pre-decoded snapshot: the detector decodes chains itself, so here
-     we rebuild only the classification layer via a lightweight
-     re-dissection. *)
-  (* Match the detector's [total_facts] semantics — the EDB loaded into
-     the engine, not the post-evaluation tuple count (the incremental
-     db also carries every derived tuple at this point). *)
-  let total_facts =
-    List.fold_left
-      (fun acc p -> acc - Engine.fact_count db p)
-      (Engine.total_tuples db) (Engine.derived_predicates db)
-  in
-  let report =
-    Dissect.dissect ~label:t.m_input.Detector.i_label
-      ~config:t.m_input.Detector.i_config ~pricing:t.m_input.Detector.i_pricing
-      ~first_window_withdrawal_id:t.m_input.Detector.i_first_window_withdrawal_id
-      ~decode_errors:(all_decode_errors t) ~db ~total_facts ()
-  in
-  t.m_last_report <- Some report;
+  t.m_evaluated <- Some db;
+  let pending_src = pending_count t.m_src in
+  let pending_dst = pending_count t.m_dst in
   (* Only a synced poll emits alerts: when a side is behind (faults,
-     head lag), the report reflects a partial cross-chain view whose
+     head lag), the database holds a partial cross-chain view whose
      transient unmatched anomalies would both false-alert now and
      poison [m_known] against the real alert later.  Clean runs are
      always synced, so this changes nothing fault-free. *)
   let alerts =
-    if pending_count t.m_src > 0 || pending_count t.m_dst > 0 then []
+    if pending_src > 0 || pending_dst > 0 then []
     else begin
+      (* Only the rows an alert can come from: the cctx dataset and the
+         attack tables grow with the history and are built on demand
+         by {!last_report}. *)
+      let rows, acc_rows =
+        Dissect.alert_rows ~config:t.m_input.Detector.i_config
+          ~pricing:t.m_input.Detector.i_pricing
+          ~first_window_withdrawal_id:
+            t.m_input.Detector.i_first_window_withdrawal_id
+          ~decode_errors:(all_decode_errors t) ~db
+      in
       let fresh = ref [] in
       List.iter
         (fun row ->
@@ -842,7 +901,7 @@ and poll_body t ~source_block ~target_block : alert list =
                   :: !fresh
               end)
             row.Report.rr_anomalies)
-        report.Report.rows;
+        rows;
       (* Accounting rows alert through the same dedup/sequence machinery:
          a hit becomes an anomaly of class [Accounting xr_class], keyed
          by its accounting relation. *)
@@ -876,7 +935,7 @@ and poll_body t ~source_block ~target_block : alert list =
                   :: !fresh
               end)
             row.Report.xr_hits)
-        report.Report.acc_rows;
+        acc_rows;
       List.rev !fresh
     end
   in
@@ -901,20 +960,17 @@ and poll_body t ~source_block ~target_block : alert list =
         && t.m_polls mod ck.Checkpoint.ck_every = 0
       then
         Xcw_store.Store.snapshot ck.Checkpoint.ck_store (encode_snapshot t ck));
-  alerts
+  (alerts, pending_src, pending_dst)
 
 let health t =
   let pending_src = pending_count t.m_src in
   let pending_dst = pending_count t.m_dst in
-  let trace_gaps s =
-    Hashtbl.fold (fun _ e n -> if e.e_trace_gap then n + 1 else n) s.sd_entries 0
-  in
   let give_ups s = (Client.stats s.sd_client).Client.s_give_ups in
   {
     h_synced = pending_src = 0 && pending_dst = 0;
     h_pending_source = pending_src;
     h_pending_target = pending_dst;
-    h_trace_gaps = trace_gaps t.m_src + trace_gaps t.m_dst;
+    h_trace_gaps = t.m_src.sd_trace_gaps + t.m_dst.sd_trace_gaps;
     h_give_ups = give_ups t.m_src + give_ups t.m_dst;
     h_reorgs = t.m_reorgs;
     h_last_error = t.m_last_error;
@@ -934,10 +990,26 @@ let rpc_seconds t =
   Client.total_latency t.m_src.sd_client
   +. Client.total_latency t.m_dst.sd_client
 
-let last_report t = t.m_last_report
+let last_report t =
+  Option.map
+    (fun db ->
+      (* Match the detector's [total_facts] semantics — the EDB loaded
+         into the engine, not the post-evaluation tuple count (the
+         incremental db also carries every derived tuple). *)
+      let total_facts =
+        List.fold_left
+          (fun acc p -> acc - Engine.fact_count db p)
+          (Engine.total_tuples db) (Engine.derived_predicates db)
+      in
+      Dissect.dissect ~label:t.m_input.Detector.i_label
+        ~config:t.m_input.Detector.i_config ~pricing:t.m_input.Detector.i_pricing
+        ~first_window_withdrawal_id:
+          t.m_input.Detector.i_first_window_withdrawal_id
+        ~decode_errors:(all_decode_errors t) ~db ~total_facts ())
+    t.m_evaluated
+
 let polls t = t.m_polls
 let replayed t = t.m_replay
 let alert_seq t = t.m_seq
 let cached_facts t = all_entry_facts t
-let facts_cached t = List.length (all_entry_facts t)
 let metrics_snapshot t = Metrics.snapshot t.m_metrics

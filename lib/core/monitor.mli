@@ -12,8 +12,14 @@
     and the non-monotonic anomaly relations (an unmatched deposit
     becomes matched when its completion lands) are retracted and
     re-derived in place — strata untouched by the new facts do no
-    work.  [create ~incremental:false] restores the from-scratch
-    rebuild per poll, for differential testing and benchmarking.
+    work.  The monitor's own bookkeeping (receipt index, fact counts,
+    decode errors, the alert scan) costs O(new receipts) per poll.
+    What a poll still pays per unit of history: the negation strata
+    the engine recomputes from scratch (8 per Nomad stream poll), the
+    anomaly-row scan, and, with a {!Checkpoint}, the periodic snapshot
+    of the whole state.  [create ~incremental:false] restores the
+    from-scratch rebuild per poll, for differential testing and
+    benchmarking.
 
     Under RPC fault injection ({!Xcw_rpc.Fault} plans in the
     {!Detector.input}) the monitor degrades instead of raising: the
@@ -169,9 +175,17 @@ val pool_health : t -> (Xcw_rpc.Pool.health * Xcw_rpc.Pool.health) option
 
 val last_report : t -> Report.t option
 (** The full report as of the latest poll (anomalies that have since
-    been retracted by later matches are absent from it).  When
-    [health] reports unsynced, the report reflects a partial
-    cross-chain view. *)
+    been retracted by later matches are absent from it), including the
+    cctx dataset and attack tables.  A poll does not build it: each
+    call dissects the database the latest poll evaluated, which costs
+    time proportional to the history.  When [health] reports unsynced,
+    the report reflects a partial cross-chain view.
+
+    [None] before the first poll of this process (recovery restores
+    the state but evaluates nothing), and after a poll that raised
+    before its rule evaluation completed — its database is
+    half-updated — until the next poll completes.  A poll that raises
+    later (e.g. in its WAL commit) leaves its own evaluated state. *)
 
 val polls : t -> int
 
@@ -190,6 +204,7 @@ val rpc_seconds : t -> float
     never slept; [0.] until the first poll fetches something. *)
 
 val facts_cached : t -> int
+(** [List.length (cached_facts t)], kept as a count. *)
 
 val cached_facts : t -> Facts.t list
 (** Every fact decoded so far (source side first, receipt order) —

@@ -281,18 +281,57 @@ let rem a b = snd (divmod a b)
 
 let ten = of_int 10
 
+(* [mul_add_small t m c] is [t * m + c] for [0 <= m, c < 2^62], raising
+   [Overflow] when the product leaves 256 bits: one limb-by-word pass. *)
+let mul_add_small t m c =
+  let m = Int64.of_int m in
+  let lo0, hi0 = mul64 t.l0 m in
+  let r0, c0 = addc lo0 (Int64.of_int c) 0L in
+  let lo1, hi1 = mul64 t.l1 m in
+  let r1, c1 = addc lo1 hi0 c0 in
+  let lo2, hi2 = mul64 t.l2 m in
+  let r2, c2 = addc lo2 hi1 c1 in
+  let lo3, hi3 = mul64 t.l3 m in
+  let r3, c3 = addc lo3 hi2 c2 in
+  if hi3 <> 0L || c3 <> 0L then raise Overflow;
+  { l0 = r0; l1 = r1; l2 = r2; l3 = r3 }
+
+let pow10_int =
+  let p = Array.make 19 1 in
+  for k = 1 to 18 do
+    p.(k) <- p.(k - 1) * 10
+  done;
+  p
+
+(* Every token amount in a Datalog fact is priced through here, so the
+   parse folds up to 18 digits into a native int and adds each chunk
+   with one multiply-add, instead of a 256x256-bit multiply per digit.
+   Errors match the digit-at-a-time definition exactly: the prefix value
+   only grows, so a chunk overflows iff some digit inside it would, and
+   the pending chunk is flushed before a stray character is rejected. *)
 let of_decimal_string s =
   if s = "" then invalid_arg "Uint256.of_decimal_string: empty";
-  let acc = ref zero in
+  let acc = ref zero and chunk = ref 0 and digits = ref 0 in
+  let flush () =
+    if !digits > 0 then begin
+      acc := mul_add_small !acc pow10_int.(!digits) !chunk;
+      chunk := 0;
+      digits := 0
+    end
+  in
   String.iter
     (fun c ->
       match c with
       | '0' .. '9' ->
-          let d = of_int (Char.code c - Char.code '0') in
-          acc := add_exn (mul_exn !acc ten) d
+          chunk := (!chunk * 10) + (Char.code c - Char.code '0');
+          incr digits;
+          if !digits = 18 then flush ()
       | '_' -> ()
-      | _ -> invalid_arg "Uint256.of_decimal_string: non-digit")
+      | _ ->
+          flush ();
+          invalid_arg "Uint256.of_decimal_string: non-digit")
     s;
+  flush ();
   !acc
 
 (* Decimal rendering is a fact-load hot path: every token amount

@@ -68,6 +68,35 @@ let blocks_and_receipts =
       Alcotest.(check int) "ts 2" 1_640_995_320 r2.Types.r_block_timestamp;
       Alcotest.(check int) "2 receipts + 0 deploys" 2 (Chain.transaction_count c))
 
+let receipts_from_is_suffix =
+  Alcotest.test_case "receipts_from k is the suffix of all_receipts from k"
+    `Quick (fun () ->
+      let c = fresh_chain () in
+      Chain.fund c alice (u 10);
+      let hashes l = List.map (fun r -> r.Types.r_tx_hash) l in
+      let check_all () =
+        let all = Chain.all_receipts c in
+        let n = Chain.transaction_count c in
+        Alcotest.(check int) "count" (List.length all) n;
+        for k = 0 to n do
+          Alcotest.(check (list string))
+            (Printf.sprintf "suffix from %d of %d" k n)
+            (hashes (List.filteri (fun i _ -> i >= k) all))
+            (hashes (Chain.receipts_from c k))
+        done
+      in
+      check_all ();
+      (* Transfers, a revert and a deploy: every kind that records a
+         receipt. *)
+      ignore (Chain.submit_tx c ~from_:alice ~to_:bob ~value:(u 1) ());
+      check_all ();
+      ignore (Chain.submit_tx c ~from_:alice ~to_:bob ~value:(u 400) ());
+      ignore (Chain.deploy c ~from_:deployer (fun _ -> ()));
+      ignore (Chain.submit_tx c ~from_:alice ~to_:bob ~value:(u 2) ());
+      check_all ();
+      Alcotest.check_raises "past the end" (Invalid_argument "Chain.receipts_from")
+        (fun () -> ignore (Chain.receipts_from c (Chain.transaction_count c + 1))))
+
 (* ------------------------------------------------------------------ *)
 (* ERC-20                                                              *)
 
@@ -449,7 +478,13 @@ let () =
   Alcotest.run "chain"
     [
       ( "native",
-        [ native_transfer; native_insufficient; clock_monotonic; blocks_and_receipts ] );
+        [
+          native_transfer;
+          native_insufficient;
+          clock_monotonic;
+          blocks_and_receipts;
+          receipts_from_is_suffix;
+        ] );
       ( "erc20",
         [
           erc20_mint_and_transfer;

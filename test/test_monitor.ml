@@ -9,6 +9,11 @@ module Bridge = Xcw_bridge.Bridge
 module Detector = Xcw_core.Detector
 module Monitor = Xcw_core.Monitor
 module Report = Xcw_core.Report
+module Facts = Xcw_core.Facts
+module Fault = Xcw_rpc.Fault
+module Metrics = Xcw_obs.Metrics
+module Events = Xcw_bridge.Events
+module Client = Xcw_rpc.Client
 module T = Xcw_testlib
 
 let u = U256.of_int
@@ -207,10 +212,10 @@ let cursor_out_of_order_regression =
 
 (* Randomized differential test: on arbitrary generic-bridge traffic,
    the incremental monitor and a from-scratch monitor must emit the
-   same alerts at every staged poll and converge to the batch
-   detector's report. *)
+   same alerts and hold the same on-demand report at every staged
+   poll, and converge to the batch detector's report. *)
 let prop_incremental_equals_scratch =
-  QCheck.Test.make ~count:8
+  QCheck.Test.make ~count:(T.qcount 8)
     ~name:"incremental monitor = from-scratch monitor = batch detector"
     (T.arb_ops ~max_len:6)
     (fun ops ->
@@ -221,22 +226,157 @@ let prop_incremental_equals_scratch =
       let user = user_with_tokens b m "mon-prop" (u 1_000_000) in
       T.seed_completed_deposit b m user;
       let ok = ref true in
+      let same_reports () =
+        match (Monitor.last_report inc, Monitor.last_report scr) with
+        | Some r1, Some r2 ->
+            if T.report_signature r1 <> T.report_signature r2 then ok := false
+        | _ -> ok := false
+      in
       List.iteri
         (fun i op ->
           T.apply_op b m user i op;
           let sb, tb = cur b in
           let a1 = Monitor.poll inc ~source_block:sb ~target_block:tb in
           let a2 = Monitor.poll scr ~source_block:sb ~target_block:tb in
-          if T.alert_keys a1 <> T.alert_keys a2 then ok := false)
+          if T.alert_keys a1 <> T.alert_keys a2 then ok := false;
+          same_reports ())
         ops;
       let batch = Detector.run input in
-      (match (Monitor.last_report inc, Monitor.last_report scr) with
-      | Some r1, Some r2 ->
-          if T.report_signature r1 <> T.report_signature r2 then ok := false;
+      (match Monitor.last_report inc with
+      | Some r1 ->
           if T.report_signature r1 <> T.report_signature batch.Detector.report
           then ok := false
-      | _ -> ok := false);
+      | None -> ok := false);
       !ok)
+
+(* The monitor keeps per-side fact and trace-gap counts and a cached
+   decode-error list instead of folding over every entry per poll.
+   Drive them through catch-up, polls, reorg rewinds that drop the
+   receipt carrying a decode error, and a checkpoint restart, checking
+   the counts against the cached facts at every step and the decode
+   errors against a from-scratch monitor at the end. *)
+let bookkeeping_survives_reorgs_and_restart =
+  Alcotest.test_case
+    "fact counts and decode errors track reorg rewinds and a restart" `Quick
+    (fun () ->
+      let b, m = make_bridge ~beneficiary_repr:Events.B_bytes32 () in
+      let input = monitor_input b in
+      (* Target-side reorgs of depth 1-3, plus receipt faults without
+         retries, so a rewind can leave the dropped receipts pending. *)
+      let plan =
+        {
+          Fault.none with
+          Fault.f_reorg_prob = 0.5;
+          f_reorg_depth = 3;
+          f_receipt = { Fault.p_transient = 0.3; p_timeout = 0.0 };
+        }
+      in
+      let faulty_input =
+        {
+          input with
+          Detector.i_target_fault = Some plan;
+          i_client_policy = { Client.default_policy with Client.p_max_attempts = 1 };
+          i_rpc_seed = 11;
+        }
+      in
+      let dir = Filename.temp_file "xcw-monitor" "" in
+      Sys.remove dir;
+      let scr = Monitor.create ~incremental:false input in
+      let open_monitor () =
+        let ck = Monitor.Checkpoint.open_ ~snapshot_every:2 ~dir () in
+        let mon =
+          Monitor.create ~metrics:(Metrics.create ()) ~checkpoint:ck faulty_input
+        in
+        (ck, mon)
+      in
+      let ck1, mon1 = open_monitor () in
+      let unparseable_in_facts mon =
+        List.length
+          (List.filter
+             (fun f ->
+               Facts.relation_name f = Facts.r_bridge_event_decode_failure)
+             (Monitor.cached_facts mon))
+      in
+      let unparseable_rows mon =
+        match Monitor.last_report mon with
+        | None -> Alcotest.fail "no report"
+        | Some r ->
+            List.concat_map
+              (fun row ->
+                List.filter_map
+                  (fun a ->
+                    if a.Report.a_class = Report.Unparseable_beneficiary then
+                      Some (row.Report.rr_rule, a.Report.a_tx_hash,
+                            a.Report.a_detail)
+                    else None)
+                  row.Report.rr_anomalies)
+              r.Report.rows
+      in
+      let check_counts mon what =
+        Alcotest.(check int)
+          (what ^ ": facts_cached = |cached_facts|")
+          (List.length (Monitor.cached_facts mon))
+          (Monitor.facts_cached mon);
+        Alcotest.(check int)
+          (what ^ ": one unparseable row per decoded marker")
+          (unparseable_in_facts mon)
+          (List.length (unparseable_rows mon))
+      in
+      let poll mon =
+        let sb, tb = cur b in
+        ignore (Monitor.poll mon ~source_block:sb ~target_block:tb);
+        ignore (Monitor.poll scr ~source_block:sb ~target_block:tb);
+        check_counts mon (Printf.sprintf "poll %d" (Monitor.polls mon))
+      in
+      let user = user_with_tokens b m "mon-book" (u 1_000_000) in
+      T.seed_completed_deposit b m user;
+      poll mon1;
+      List.iteri (fun i op -> T.apply_op b m user i op; poll mon1) [ 0; 2 ];
+      (* The newest target block carries the decode error, so any
+         target reorg drops it. *)
+      ignore
+        (Bridge.request_withdrawal ~beneficiary_padding:(`Garbage "mon-g") b
+           ~user ~dst_token:m.Bridge.m_dst_token ~amount:(u 30)
+           ~beneficiary:user);
+      let seen = ref false and dropped = ref false in
+      while (not !dropped) && Monitor.polls mon1 < 100 do
+        poll mon1;
+        let decoded = unparseable_in_facts mon1 > 0 in
+        if !seen && not decoded then dropped := true;
+        seen := !seen || decoded
+      done;
+      Alcotest.(check bool) "a rewind dropped the decode error" true !dropped;
+      T.apply_op b m user 9 1;
+      poll mon1;
+      Monitor.Checkpoint.close ck1;
+      (* Restart from the snapshot and WAL tail. *)
+      let ck2, mon2 = open_monitor () in
+      Alcotest.(check int) "recovered facts_cached = |cached_facts|"
+        (List.length (Monitor.cached_facts mon2))
+        (Monitor.facts_cached mon2);
+      poll mon2;
+      let polls = ref 1 in
+      while (not (Monitor.health mon2).Monitor.h_synced) && !polls < 100 do
+        incr polls;
+        poll mon2
+      done;
+      Alcotest.(check bool) "synced after the restart" true
+        (Monitor.health mon2).Monitor.h_synced;
+      let gauge =
+        match
+          Metrics.find (Monitor.metrics_snapshot mon2) "xcw_monitor_facts_cached"
+        with
+        | Some { Metrics.m_value = Metrics.V_gauge g; _ } -> int_of_float g
+        | _ -> Alcotest.fail "missing xcw_monitor_facts_cached"
+      in
+      Alcotest.(check int) "gauge = |cached_facts|"
+        (List.length (Monitor.cached_facts mon2))
+        gauge;
+      Alcotest.(check int) "one decode error" 1 (List.length (unparseable_rows mon2));
+      Alcotest.(check (list (triple string string string)))
+        "unparseable-beneficiary row = from-scratch monitor's"
+        (unparseable_rows scr) (unparseable_rows mon2);
+      Monitor.Checkpoint.close ck2)
 
 let () =
   Alcotest.run "monitor"
@@ -250,6 +390,7 @@ let () =
           block_cursor_respected;
           final_report_matches_batch_detector;
           cursor_out_of_order_regression;
+          bookkeeping_survives_reorgs_and_restart;
           QCheck_alcotest.to_alcotest prop_incremental_equals_scratch;
         ] );
     ]

@@ -122,6 +122,98 @@ let to_int_bounds =
         (U.to_int_opt (U.shift_left U.one 128)))
 
 (* ------------------------------------------------------------------ *)
+(* Decimal parser against its digit-at-a-time definition               *)
+
+(* The reference [U.of_decimal_string] must agree with, exceptions and
+   messages included: one checked 256-bit multiply-add per digit, left
+   to right, so the first failing character decides the error. *)
+let reference_of_decimal_string s =
+  if s = "" then invalid_arg "Uint256.of_decimal_string: empty";
+  let acc = ref U.zero in
+  String.iter
+    (fun c ->
+      match c with
+      | '0' .. '9' ->
+          acc := U.add_exn (U.mul_exn !acc (u 10)) (u (Char.code c - Char.code '0'))
+      | '_' -> ()
+      | _ -> invalid_arg "Uint256.of_decimal_string: non-digit")
+    s;
+  !acc
+
+let parse_outcome parse s =
+  match parse s with
+  | v -> Ok (U.to_decimal_string v)
+  | exception U.Overflow -> Error "Overflow"
+  | exception Invalid_argument msg -> Error ("Invalid_argument " ^ msg)
+
+let max_decimal =
+  "115792089237316195423570985008687907853269984665640564039457584007913129639935"
+
+(* 2^256: the smallest value that overflows. *)
+let max_plus_one_decimal =
+  "115792089237316195423570985008687907853269984665640564039457584007913129639936"
+
+let decimal_parser_cases =
+  Alcotest.test_case "of_decimal_string boundaries and errors match the reference"
+    `Quick (fun () ->
+      let outcome = Alcotest.(result string string) in
+      let expect name want s =
+        Alcotest.check outcome name want (parse_outcome U.of_decimal_string s);
+        Alcotest.check outcome (name ^ " (reference)") want
+          (parse_outcome reference_of_decimal_string s)
+      in
+      expect "2^256-1 parses" (Ok max_decimal) max_decimal;
+      expect "2^256 overflows" (Error "Overflow") max_plus_one_decimal;
+      expect "empty" (Error "Invalid_argument Uint256.of_decimal_string: empty") "";
+      expect "lone underscore is zero" (Ok "0") "_";
+      expect "leading zeros past 78 digits" (Ok "42") (String.make 90 '0' ^ "42");
+      expect "underscores inside a chunk" (Ok "1000000000000000000000")
+        "1_000_000_000_000_000_000_000";
+      expect "overflow before a stray character" (Error "Overflow")
+        (max_plus_one_decimal ^ "x");
+      expect "overflow inside a short final chunk" (Error "Overflow")
+        (max_decimal ^ "0x");
+      expect "stray character before an overflow"
+        (Error "Invalid_argument Uint256.of_decimal_string: non-digit")
+        ("1x" ^ max_plus_one_decimal))
+
+(* Strings of digits, '_' and stray characters, with runs biased
+   towards the chunk (18) and limb/width boundaries (19, 36, 37, 77,
+   78 digits). *)
+let arb_decimal_text =
+  let open QCheck.Gen in
+  let digit = map (fun d -> Char.chr (Char.code '0' + d)) (int_bound 9) in
+  let noise =
+    frequency
+      [ (20, digit); (2, return '_'); (1, oneofl [ 'x'; ' '; '-'; '.'; 'e' ]) ]
+  in
+  let run n =
+    map
+      (fun cells ->
+        String.concat ""
+          (List.map (fun (d, sep) -> String.make 1 d ^ sep) cells))
+      (list_repeat n (pair digit (frequency [ (9, return ""); (1, return "_") ])))
+  in
+  let boundary_run = oneofl [ 18; 19; 36; 37; 77; 78 ] >>= run in
+  let gen =
+    frequency
+      [
+        (2, string_size ~gen:noise (0 -- 100));
+        (2, boundary_run);
+        (1, map2 ( ^ ) boundary_run (string_size ~gen:noise (0 -- 4)));
+        (1, map2 ( ^ ) (string_size ~gen:noise (0 -- 3)) boundary_run);
+      ]
+  in
+  QCheck.make ~print:(Printf.sprintf "%S") gen
+
+let prop_decimal_parser_oracle =
+  QCheck.Test.make
+    ~name:"of_decimal_string = digit-at-a-time reference, exceptions included"
+    ~count:(Xcw_testlib.qcount 2000) arb_decimal_text (fun s ->
+      parse_outcome U.of_decimal_string s
+      = parse_outcome reference_of_decimal_string s)
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
 let prop_add_comm =
@@ -227,6 +319,7 @@ let () =
           bit_length_cases;
           shift_cases;
           to_int_bounds;
+          decimal_parser_cases;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -246,5 +339,6 @@ let () =
             prop_hex_roundtrip;
             prop_shift_mul_pow2;
             prop_to_float_monotone;
+            prop_decimal_parser_oracle;
           ] );
     ]

@@ -27,7 +27,9 @@ let u = U256.of_int
 (* ------------------------------------------------------------------ *)
 (* Small two-chain multisig bridge (monitor/fault suites)              *)
 
-let make_bridge () =
+(* [beneficiary_repr] [B_bytes32] gives a bridge whose garbage
+   beneficiaries are unparseable decode errors (Section 5.2.2). *)
+let make_bridge ?(beneficiary_repr = Events.B_address) () =
   let s =
     Chain.create ~chain_id:1 ~name:"s" ~finality_seconds:60
       ~genesis_time:1_650_000_000
@@ -51,7 +53,7 @@ let make_bridge () =
               compromised_keys = 0;
               enforce_source_finality = true;
             };
-        s_beneficiary_repr = Events.B_address;
+        s_beneficiary_repr = beneficiary_repr;
         s_buggy_unmapped_withdrawal = false;
       }
   in
@@ -65,7 +67,12 @@ let monitor_input ?(label = "mon-test") b =
   Pricing.register pricing ~chain_id:1
     ~token:(Address.to_hex (List.hd b.Bridge.mappings).Bridge.m_src_token)
     ~usd_per_token:1.0 ~decimals:0;
-  Detector.default_input ~label ~plugin:Decoder.ronin_plugin ~config
+  let plugin =
+    match b.Bridge.beneficiary_repr with
+    | Events.B_address -> Decoder.ronin_plugin
+    | Events.B_bytes32 -> Decoder.nomad_plugin
+  in
+  Detector.default_input ~label ~plugin ~config
     ~source_chain:b.Bridge.source.Bridge.chain
     ~target_chain:b.Bridge.target.Bridge.chain ~pricing
 

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Stress run of the differential suites: parallel sequential-equivalence,
-# datalog incremental properties, the naive-oracle differential (random
-# programs through the engine and the naive reference evaluator — same
-# relations and derived counts at --jobs 1/2/4), the RPC fault/quorum
+# the decimal parser against its digit-at-a-time reference (test_uint256),
+# the incremental vs from-scratch monitor differential with its per-poll
+# report check (test_monitor), datalog incremental properties, the
+# naive-oracle differential (random programs through the engine and the
+# naive reference evaluator — same relations and derived counts at
+# --jobs 1/2/4), the RPC fault/quorum
 # net, the attack-pack cross-product (class x fault/quorum x jobs,
 # plus the twin-differential generator properties), the exit-bridge
 # accounting net (Merkle proof-mutation properties plus its own class
