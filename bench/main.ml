@@ -1,4 +1,4 @@
-(* The evaluation harness: regenerates every table and figure of the
+(* The paper's reproduction: regenerates every table and figure of the
    paper's evaluation (Sections 4 and 5) from the simulated Nomad and
    Ronin scenarios, prints paper-reported values next to measured ones,
    and runs Bechamel micro-benchmarks plus the DESIGN.md ablations.
@@ -8,17 +8,19 @@
    counts, so anomaly columns are directly comparable while captured
    columns scale.  Set XCW_SCALE=1.0 to regenerate at full paper size.
 
-   Run with: dune exec bench/main.exe [MODE] — one of the modes in
-   [modes] below, or no argument for the full harness. *)
+   Run with: dune exec bench/main.exe [MODE].  No argument runs the
+   paper harness; MODE is one of the two measured modes in [modes]
+   below.  The watcher's performance benchmark is xcwbench/, not this
+   file. *)
 
 module U256 = Xcw_uint256.Uint256
 module Stats = Xcw_util.Stats
 module Prng = Xcw_util.Prng
+module Json = Xcw_util.Json
 module Address = Xcw_evm.Address
 module Chain = Xcw_chain.Chain
 module Rpc = Xcw_rpc.Rpc
 module Client = Xcw_rpc.Client
-module Fault = Xcw_rpc.Fault
 module Latency = Xcw_rpc.Latency
 module Engine = Xcw_datalog.Engine
 module Ast = Xcw_datalog.Ast
@@ -31,8 +33,8 @@ module Rules = Xcw_core.Rules
 module Scenario = Xcw_workload.Scenario
 module Timeframes = Xcw_workload.Timeframes
 
-(* A numeric environment variable; a value [parse] rejects exits 2
-   with a message naming the variable. *)
+(* An environment variable; a value [parse] rejects exits 2 with a
+   message naming the variable. *)
 let env_number name ~expected parse default =
   match Sys.getenv_opt name with
   | None -> default
@@ -53,11 +55,16 @@ let scale =
 
 let seed = env_number "XCW_SEED" ~expected:"an integer" int_of_string_opt 42
 
-(* XCW_BENCH_SMOKE=1 shrinks every mode to a seconds-long sanity pass
+(* XCW_BENCH_SMOKE=1 shrinks every run to a seconds-long sanity pass
    (tiny scale, minimal repetitions) and suppresses the BENCH_*.json
    side effects, so the @bench-smoke dune alias can run inside
-   [dune runtest] without polluting the tree. *)
-let smoke = Sys.getenv_opt "XCW_BENCH_SMOKE" <> None
+   [dune runtest] without polluting the tree.  Any other value exits 2:
+   [XCW_BENCH_SMOKE=0] must not silently mean "on". *)
+let smoke =
+  env_number "XCW_BENCH_SMOKE" ~expected:"1"
+    (fun s -> if s = "1" then Some true else None)
+    false
+
 let scale = if smoke then Float.min scale 0.01 else scale
 
 let section title =
@@ -66,23 +73,95 @@ let section title =
 let subsection title = Printf.printf "\n--- %s ---\n" title
 
 (* ------------------------------------------------------------------ *)
-(* monitor_steady_state: per-poll monitoring cost, incremental vs
-   from-scratch rule evaluation.  Runnable standalone (and without the
-   heavy full-harness scenarios) via
-   [dune exec bench/main.exe monitor_steady_state]; emits
-   BENCH_monitor.json for machine consumption. *)
+(* The measured modes' shared protocol.
+
+   [time_variants ~reps variants] runs [reps] rounds; each round runs
+   every variant once, in forward order on even rounds and reverse
+   order on odd ones, so no variant always runs first.  A variant is a
+   set-up (untimed) returning the thunk to time; an untimed
+   [Gc.compact] precedes every timed run.  Per variant it returns the
+   min and the median of its [reps] times, in seconds, and the last
+   run's result. *)
+
+type 'a timing = { t_min : float; t_median : float; t_result : 'a }
+
+let time_variants ~reps (variants : (unit -> unit -> 'a) list) =
+  let variants = Array.of_list variants in
+  let n = Array.length variants in
+  let times = Array.make n [] and results = Array.make n None in
+  for rep = 0 to reps - 1 do
+    for j = 0 to n - 1 do
+      let i = if rep mod 2 = 0 then j else n - 1 - j in
+      let run = variants.(i) () in
+      Gc.compact ();
+      let t0 = Unix.gettimeofday () in
+      let r = run () in
+      times.(i) <- (Unix.gettimeofday () -. t0) :: times.(i);
+      results.(i) <- Some r
+    done
+  done;
+  List.init n (fun i ->
+      {
+        t_min = List.fold_left Float.min infinity times.(i);
+        t_median = Stats.median times.(i);
+        t_result = Option.get results.(i);
+      })
+
+(* Every measured mode writes BENCH_<mode>.json in the invoking
+   directory with one schema; smoke runs write nothing. *)
+let write_bench_json ~mode ~scale ~reps rows =
+  if not smoke then begin
+    Json.write_file
+      ~path:(Printf.sprintf "BENCH_%s.json" mode)
+      (Json.Obj
+         [
+           ("mode", Json.String mode);
+           ("host_cores", Json.Int (Domain.recommended_domain_count ()));
+           ("scale", Json.Float scale);
+           ("seed", Json.Int seed);
+           ("reps", Json.Int reps);
+           ("rows", Json.List rows);
+         ]);
+    Printf.printf "(written to BENCH_%s.json)\n" mode
+  end
+
+(* ------------------------------------------------------------------ *)
+(* monitor_steady_state: per-poll cost of one benign Nomad poll loop in
+   three variants — incremental rule evaluation, from-scratch
+   re-evaluation, and incremental evaluation recording into the inert
+   Metrics.noop / Span.noop instead of a live registry and tracer (the
+   cost of observability).  Any alert in a timed poll fails the run. *)
 
 let monitor_steady_state () =
   let module Monitor = Xcw_core.Monitor in
-  let module U256 = Xcw_uint256.Uint256 in
-  let module Json = Xcw_util.Json in
+  let module Metrics = Xcw_obs.Metrics in
+  let module Span = Xcw_obs.Span in
   section
-    "Steady-state monitoring: per-poll cost (ms), incremental vs from-scratch";
-  let polls_per_point = if smoke then 2 else 6 in
+    "Steady-state monitoring: per-poll cost (ms), incremental vs \
+     from-scratch vs inert instruments";
+  let reps = if smoke then 2 else 4 in
+  let polls = if smoke then 2 else 12 in
   let tx_counts = if smoke then [ 0; 1 ] else [ 0; 1; 10 ] in
-  (* One Nomad-scale scenario per mode so injected traffic and RNG
-     streams are identical across the two runs. *)
-  let run_mode ~incremental =
+  (* The decoder and the spans record through the process defaults, so
+     a variant's instruments are installed there for its whole run. *)
+  let with_instruments (metrics, tracer) f =
+    let saved_metrics = Metrics.default () and saved_tracer = Span.default () in
+    Metrics.set_default metrics;
+    Span.set_default tracer;
+    Fun.protect f ~finally:(fun () ->
+        Metrics.set_default saved_metrics;
+        Span.set_default saved_tracer)
+  in
+  (* Set-up: a fresh scenario (same seed for every variant, so the
+     traffic is identical) and a monitor caught up over the whole
+     history, unmeasured.  Timed: [polls] polls, each after [new_txs]
+     honest round trips over a verified mapping. *)
+  let variant ~incremental ~live new_txs () =
+    let instruments =
+      if live then (Metrics.create (), Span.create ())
+      else (Metrics.noop, Span.noop)
+    in
+    with_instruments instruments @@ fun () ->
     let b = Xcw_workload.Nomad.build ~seed:(seed + 77) ~scale () in
     let bridge = b.Scenario.bridge in
     let src = bridge.Bridge.source.Bridge.chain in
@@ -92,10 +171,9 @@ let monitor_steady_state () =
         ~config:b.Scenario.config ~source_chain:src ~target_chain:dst
         ~pricing:b.Scenario.pricing
     in
-    let mon = Monitor.create ~incremental input in
-    (* A token of the scenario's verified mapping: the head of
-       [bridge.mappings] is the last-registered pair, which for Nomad
-       is the unverified WGLMR mapping of Finding 6. *)
+    let mon = Monitor.create ~incremental ~metrics:(fst instruments) input in
+    (* A verified mapping: the head of [bridge.mappings] is Nomad's
+       unverified WGLMR pair, where every deposit is a violation. *)
     let rt = List.hd b.Scenario.tokens in
     let m = rt.Scenario.rt_mapping in
     let user = Address.of_seed "steady-user" in
@@ -103,732 +181,100 @@ let monitor_steady_state () =
     Chain.fund dst user (U256.of_tokens ~decimals:18 10);
     Scenario.mint_src bridge rt user (U256.of_int 10_000_000);
     let cur () =
-      ( List.length (Chain.all_blocks src),
-        List.length (Chain.all_blocks dst) )
+      (List.length (Chain.all_blocks src), List.length (Chain.all_blocks dst))
     in
-    (* Catch-up sync over the full history is not steady state; poll it
-       away unmeasured. *)
     let sb, tb = cur () in
     ignore (Monitor.poll mon ~source_block:sb ~target_block:tb);
-    List.map
-      (fun new_txs ->
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to polls_per_point do
-          for _ = 1 to new_txs do
-            let d =
-              Bridge.deposit_erc20 bridge ~user
-                ~src_token:m.Bridge.m_src_token ~amount:(U256.of_int 7)
-                ~beneficiary:user
-            in
-            ignore (Bridge.complete_deposit bridge ~deposit:d)
-          done;
-          let sb, tb = cur () in
-          match Monitor.poll mon ~source_block:sb ~target_block:tb with
-          | [] -> ()
-          | a :: _ ->
-              failwith
-                (Printf.sprintf
-                   "monitor_steady_state: benign traffic raised an alert \
-                    (%s)"
-                   a.Monitor.al_rule)
-        done;
-        let per_poll_ms =
-          1000.0 *. (Unix.gettimeofday () -. t0) /. float_of_int polls_per_point
-        in
-        (new_txs, per_poll_ms))
-      tx_counts
-  in
-  let inc = run_mode ~incremental:true in
-  let scratch = run_mode ~incremental:false in
-  Printf.printf "%18s %16s %16s %9s\n" "new txs per poll" "incremental"
-    "from-scratch" "speedup";
-  let results =
-    List.map2
-      (fun (k, inc_ms) (_, scr_ms) ->
-        let speedup = scr_ms /. Float.max 1e-9 inc_ms in
-        Printf.printf "%18d %13.2f ms %13.2f ms %8.1fx\n" k inc_ms scr_ms
-          speedup;
-        Json.Obj
-          [
-            ("new_txs_per_poll", Json.Int k);
-            ("incremental_ms", Json.Float inc_ms);
-            ("from_scratch_ms", Json.Float scr_ms);
-            ("speedup", Json.Float speedup);
-          ])
-      inc scratch
-  in
-  let json =
-    Json.Obj
-      [
-        ("benchmark", Json.String "monitor_steady_state");
-        ("bridge", Json.String "nomad");
-        ("scale", Json.Float scale);
-        ("seed", Json.Int seed);
-        ("polls_per_point", Json.Int polls_per_point);
-        ("results", Json.List results);
-      ]
-  in
-  if not smoke then Json.write_file ~path:"BENCH_monitor.json" json;
-  Printf.printf
-    "(per-poll wall time including decode + rule evaluation + dissection,\n\
-     averaged over %d polls%s)\n"
-    polls_per_point
-    (if smoke then "" else "; written to BENCH_monitor.json")
-
-(* ------------------------------------------------------------------ *)
-(* faults: extraction cost and integrity under a realistic fault plan.
-   Re-decodes the Nomad-scale chains through the resilient client
-   against Ronin-profile nodes, fault-free vs Fault.moderate, then
-   measures how many extra polls a faulty monitor needs to catch up.
-   Runnable standalone via [dune exec bench/main.exe faults]; emits
-   BENCH_faults.json plus a one-line BENCH_FAULTS summary. *)
-
-let bench_faults () =
-  let module Monitor = Xcw_core.Monitor in
-  let module Facts = Xcw_core.Facts in
-  let module Json = Xcw_util.Json in
-  section
-    "Fault injection: Nomad-scale extraction under a moderate fault plan";
-  let b = Xcw_workload.Nomad.build ~seed:(seed + 55) ~scale () in
-  let bridge = b.Scenario.bridge in
-  let src = bridge.Bridge.source.Bridge.chain in
-  let dst = bridge.Bridge.target.Bridge.chain in
-  let profile = Latency.ronin_profile in
-  let decode ~fault rpc_seed =
-    let mk chain s =
-      Client.create ~seed:s (Rpc.create ~profile ~seed:s ?fault chain)
-    in
-    let src_client = mk src rpc_seed in
-    let dst_client = mk dst (rpc_seed + 1) in
-    let rds =
-      Decoder.decode_chain Decoder.nomad_plugin b.Scenario.config
-        ~role:Decoder.Source src_client src
-      @ Decoder.decode_chain Decoder.nomad_plugin b.Scenario.config
-          ~role:Decoder.Target dst_client dst
-    in
-    (rds, src_client, dst_client)
-  in
-  let non_gap_facts rds =
-    List.concat_map
-      (fun rd ->
-        List.filter
-          (function Facts.Trace_gap _ -> false | _ -> true)
-          rd.Decoder.rd_facts)
-      rds
-  in
-  let clean_rds, csrc, cdst = decode ~fault:None 301 in
-  let fault_rds, fsrc, fdst = decode ~fault:(Some Fault.moderate) 301 in
-  let clean_seconds = Client.total_latency csrc +. Client.total_latency cdst in
-  let fault_seconds = Client.total_latency fsrc +. Client.total_latency fdst in
-  let overhead_ratio = fault_seconds /. Float.max 1e-9 clean_seconds in
-  let facts_identical = non_gap_facts clean_rds = non_gap_facts fault_rds in
-  let trace_gaps =
-    List.length (List.filter (fun rd -> rd.Decoder.rd_trace_gap) fault_rds)
-  in
-  let stats c = Client.stats c in
-  let retries = (stats fsrc).Client.s_retries + (stats fdst).Client.s_retries in
-  let give_ups =
-    (stats fsrc).Client.s_give_ups + (stats fdst).Client.s_give_ups
-  in
-  let backoff =
-    (stats fsrc).Client.s_backoff_seconds
-    +. (stats fdst).Client.s_backoff_seconds
-  in
-  Printf.printf "receipts decoded twice:      %d\n" (List.length clean_rds);
-  Printf.printf "simulated RPC seconds clean: %.1f\n" clean_seconds;
-  Printf.printf "simulated RPC seconds fault: %.1f  (%.2fx, %.1f s backoff)\n"
-    fault_seconds overhead_ratio backoff;
-  Printf.printf "retries %d, give-ups %d, trace gaps %d, facts identical: %b\n"
-    retries give_ups trace_gaps facts_identical;
-  (* Monitor catch-up: polls needed to reach a synced report at the
-     final cursors when every request can fail. *)
-  let input =
-    Detector.default_input ~label:"nomad-faults" ~plugin:Decoder.nomad_plugin
-      ~config:b.Scenario.config ~source_chain:src ~target_chain:dst
-      ~pricing:b.Scenario.pricing
-  in
-  let mon =
-    Monitor.create
-      {
-        input with
-        Detector.i_source_fault = Some Fault.moderate;
-        i_target_fault = Some Fault.moderate;
-        i_rpc_seed = seed + 303;
-        i_source_profile = profile;
-        i_target_profile = profile;
-      }
-  in
-  let sb = List.length (Chain.all_blocks src) in
-  let tb = List.length (Chain.all_blocks dst) in
-  let max_polls = 60 in
-  let polls = ref 1 in
-  ignore (Monitor.poll mon ~source_block:sb ~target_block:tb);
-  while
-    (not (Monitor.health mon).Monitor.h_synced) && !polls < max_polls
-  do
-    incr polls;
-    ignore (Monitor.poll mon ~source_block:sb ~target_block:tb)
-  done;
-  let h = Monitor.health mon in
-  Printf.printf
-    "monitor synced after %d poll(s) (trace gaps %d, give-ups %d, reorgs %d)\n"
-    !polls h.Monitor.h_trace_gaps h.Monitor.h_give_ups h.Monitor.h_reorgs;
-  let json =
-    Json.Obj
-      [
-        ("benchmark", Json.String "faults");
-        ("bridge", Json.String "nomad");
-        ("scale", Json.Float scale);
-        ("seed", Json.Int seed);
-        ("profile", Json.String "ronin");
-        ("plan", Json.String "moderate");
-        ("receipts", Json.Int (List.length clean_rds));
-        ("clean_rpc_seconds", Json.Float clean_seconds);
-        ("faulty_rpc_seconds", Json.Float fault_seconds);
-        ("overhead_ratio", Json.Float overhead_ratio);
-        ("backoff_seconds", Json.Float backoff);
-        ("retries", Json.Int retries);
-        ("give_ups", Json.Int give_ups);
-        ("trace_gaps", Json.Int trace_gaps);
-        ("facts_identical", Json.Bool facts_identical);
-        ("catchup_polls", Json.Int !polls);
-        ("monitor_synced", Json.Bool h.Monitor.h_synced);
-      ]
-  in
-  if not smoke then Json.write_file ~path:"BENCH_faults.json" json;
-  Printf.printf
-    "BENCH_FAULTS overhead_ratio=%.3f retries=%d give_ups=%d range_splits=%d \
-     trace_gaps=%d facts_identical=%b catchup_polls=%d synced=%b\n"
-    overhead_ratio retries give_ups
-    ((stats fsrc).Client.s_range_splits + (stats fdst).Client.s_range_splits)
-    trace_gaps facts_identical !polls h.Monitor.h_synced;
-  if not smoke then Printf.printf "(written to BENCH_faults.json)\n"
-
-(* ------------------------------------------------------------------ *)
-(* quorum: cost of Byzantine-tolerant quorum reads.  Re-decodes the
-   Nomad-scale chains twice — once through a plain single-endpoint
-   client, once through a 3-endpoint / 2-quorum pool with one lying
-   (Fault.byzantine) endpoint — and reports the simulated-latency
-   overhead (fan-out is parallel, so the target is well under 3x:
-   < 2.5x at n=3), whether the facts stayed identical, and whether the
-   pool identified the liar.  Runnable standalone via
-   [dune exec bench/main.exe quorum]; emits BENCH_quorum.json plus a
-   one-line BENCH_QUORUM summary. *)
-
-let bench_quorum () =
-  let module Pool = Xcw_rpc.Pool in
-  let module Json = Xcw_util.Json in
-  section
-    "Quorum reads: Nomad-scale extraction, 1 endpoint vs a 3-endpoint pool \
-     with one liar";
-  let b = Xcw_workload.Nomad.build ~seed:(seed + 77) ~scale () in
-  let bridge = b.Scenario.bridge in
-  let src = bridge.Bridge.source.Bridge.chain in
-  let dst = bridge.Bridge.target.Bridge.chain in
-  let profile = Latency.nomad_profile in
-  let decode ~endpoints ~endpoint_faults rpc_seed =
-    let mk chain s =
-      Detector.build_client ~profile ~seed:s ~policy:Client.default_policy
-        ~endpoints ~quorum:2 ~fault:None ~endpoint_faults chain
-    in
-    let src_client = mk src rpc_seed in
-    let dst_client = mk dst (rpc_seed + 1) in
-    let rds =
-      Decoder.decode_chain Decoder.nomad_plugin b.Scenario.config
-        ~role:Decoder.Source src_client src
-      @ Decoder.decode_chain Decoder.nomad_plugin b.Scenario.config
-          ~role:Decoder.Target dst_client dst
-    in
-    (rds, src_client, dst_client)
-  in
-  let clean_rds, csrc, cdst = decode ~endpoints:1 ~endpoint_faults:[] 401 in
-  let pool_rds, psrc, pdst =
-    decode ~endpoints:3
-      ~endpoint_faults:[ None; None; Some Fault.byzantine ]
-      401
-  in
-  let clean_seconds = Client.total_latency csrc +. Client.total_latency cdst in
-  let pool_seconds = Client.total_latency psrc +. Client.total_latency pdst in
-  let overhead_ratio = pool_seconds /. Float.max 1e-9 clean_seconds in
-  let facts rds = List.concat_map (fun rd -> rd.Decoder.rd_facts) rds in
-  let facts_identical = facts clean_rds = facts pool_rds in
-  let pool_stats c =
-    match Client.pool c with
-    | Some p -> Some (Pool.health p)
-    | None -> None
-  in
-  let healths = List.filter_map pool_stats [ psrc; pdst ] in
-  let liar_identified =
-    List.for_all (fun h -> h.Pool.ph_suspects = [ 2 ]) healths
-    && List.length healths = 2
-  in
-  let disagreements =
-    List.fold_left (fun acc h -> acc + h.Pool.ph_disagreements) 0 healths
-  in
-  let refusals =
-    List.fold_left (fun acc h -> acc + h.Pool.ph_refusals) 0 healths
-  in
-  Printf.printf "receipts decoded twice:        %d\n" (List.length clean_rds);
-  Printf.printf "simulated RPC seconds single:  %.1f\n" clean_seconds;
-  Printf.printf "simulated RPC seconds quorum:  %.1f  (%.2fx, target < 2.5x)\n"
-    pool_seconds overhead_ratio;
-  Printf.printf
-    "disagreements %d, refusals %d, liar identified: %b, facts identical: %b\n"
-    disagreements refusals liar_identified facts_identical;
-  let json =
-    Json.Obj
-      [
-        ("benchmark", Json.String "quorum");
-        ("bridge", Json.String "nomad");
-        ("scale", Json.Float scale);
-        ("seed", Json.Int seed);
-        ("profile", Json.String "nomad");
-        ("endpoints", Json.Int 3);
-        ("quorum", Json.Int 2);
-        ("byzantine_endpoint", Json.Int 2);
-        ("receipts", Json.Int (List.length clean_rds));
-        ("single_rpc_seconds", Json.Float clean_seconds);
-        ("quorum_rpc_seconds", Json.Float pool_seconds);
-        ("overhead_ratio", Json.Float overhead_ratio);
-        ("overhead_target", Json.Float 2.5);
-        ("disagreements", Json.Int disagreements);
-        ("refusals", Json.Int refusals);
-        ("liar_identified", Json.Bool liar_identified);
-        ("facts_identical", Json.Bool facts_identical);
-      ]
-  in
-  if not smoke then Json.write_file ~path:"BENCH_quorum.json" json;
-  Printf.printf
-    "BENCH_QUORUM overhead_ratio=%.3f target_lt=2.5 disagreements=%d \
-     refusals=%d liar_identified=%b facts_identical=%b\n"
-    overhead_ratio disagreements refusals liar_identified facts_identical;
-  if not smoke then Printf.printf "(written to BENCH_quorum.json)\n"
-
-(* ------------------------------------------------------------------ *)
-(* attacks: per-class build + detection latency over the attack packs
-   (2023 hack corpus, DESIGN.md §12), with the exactness verdict — the
-   dedicated rule must flag exactly the injected transactions.
-   Runnable standalone via [dune exec bench/main.exe attacks]; emits
-   BENCH_attacks.json plus a one-line BENCH_ATTACKS summary. *)
-
-let bench_attacks () =
-  let module Json = Xcw_util.Json in
-  let module Attacks = Xcw_workload.Attacks in
-  let module Generic = Xcw_workload.Generic in
-  section "Attack packs: per-class build + detection latency (ms)";
-  let reps = if smoke then 1 else 5 in
-  let rows =
-    List.map
-      (fun cls ->
-        let slug = Attacks.class_slug cls in
-        let spec = Attacks.default_spec cls in
-        let spec =
-          {
-            spec with
-            Attacks.a_base = { spec.Attacks.a_base with Generic.g_seed = seed };
-          }
-        in
-        let build_ms = ref [] and detect_ms = ref [] in
-        let hits = ref 0 and exact = ref true in
-        (* A fresh scenario per repetition: the build cost is part of
-           the measurement, and detection then sees cold chains. *)
-        for _ = 1 to reps do
-          let t0 = Unix.gettimeofday () in
-          let inj = Attacks.build spec in
-          let t1 = Unix.gettimeofday () in
-          let b = inj.Attacks.inj_built in
-          let input =
-            Detector.default_input ~label:("attack-" ^ slug)
-              ~plugin:Decoder.ronin_plugin ~config:b.Scenario.config
-              ~source_chain:b.Scenario.bridge.Bridge.source.Bridge.chain
-              ~target_chain:b.Scenario.bridge.Bridge.target.Bridge.chain
-              ~pricing:b.Scenario.pricing
+    fun () ->
+      with_instruments instruments @@ fun () ->
+      for _ = 1 to polls do
+        for _ = 1 to new_txs do
+          let d =
+            Bridge.deposit_erc20 bridge ~user ~src_token:m.Bridge.m_src_token
+              ~amount:(U256.of_int 7) ~beneficiary:user
           in
-          let result = Detector.run input in
-          let t2 = Unix.gettimeofday () in
-          build_ms := (1000.0 *. (t1 -. t0)) :: !build_ms;
-          detect_ms := (1000.0 *. (t2 -. t1)) :: !detect_ms;
-          let flagged =
-            match Report.attack_row result.Detector.report cls with
-            | Some ar ->
-                List.sort compare
-                  (List.map (fun h -> h.Report.ah_tx_hash) ar.Report.ar_hits)
-            | None -> []
-          in
-          hits := List.length flagged;
-          exact := !exact && flagged = inj.Attacks.inj_attack_txs
+          ignore (Bridge.complete_deposit bridge ~deposit:d)
         done;
-        let b_ms = Stats.median !build_ms and d_ms = Stats.median !detect_ms in
-        Printf.printf "%-22s build %7.1f ms  detect %7.1f ms  hits %d  exact %b\n"
-          slug b_ms d_ms !hits !exact;
-        (slug, b_ms, d_ms, !hits, !exact))
-      Report.attack_classes
+        let sb, tb = cur () in
+        match Monitor.poll mon ~source_block:sb ~target_block:tb with
+        | [] -> ()
+        | a :: _ ->
+            failwith
+              (Printf.sprintf
+                 "monitor_steady_state: benign traffic raised an alert (%s)"
+                 a.Monitor.al_rule)
+      done
   in
-  let all_exact = List.for_all (fun (_, _, _, _, e) -> e) rows in
-  let json =
-    Json.Obj
-      [
-        ("benchmark", Json.String "attacks");
-        ("seed", Json.Int seed);
-        ("reps", Json.Int reps);
-        ("all_exact", Json.Bool all_exact);
-        ( "classes",
-          Json.List
-            (List.map
-               (fun (slug, b_ms, d_ms, hits, exact) ->
-                 Json.Obj
-                   [
-                     ("class", Json.String slug);
-                     ("build_ms", Json.Float b_ms);
-                     ("detect_ms", Json.Float d_ms);
-                     ("hits", Json.Int hits);
-                     ("exact", Json.Bool exact);
-                   ])
-               rows) );
-      ]
-  in
-  if not smoke then Json.write_file ~path:"BENCH_attacks.json" json;
-  Printf.printf "BENCH_ATTACKS all_exact=%b %s\n" all_exact
-    (String.concat " "
-       (List.map
-          (fun (slug, _, d_ms, hits, _) ->
-            Printf.sprintf "%s=%.1fms/%d" slug d_ms hits)
-          rows));
-  if not smoke then Printf.printf "(written to BENCH_attacks.json)\n"
-
-(* ------------------------------------------------------------------ *)
-(* accounting: build + detection latency over the exit-bridge lanes
-   (pessimistic accounting stratum, DESIGN.md §15), with the exactness
-   verdict — each class's accounting rule must flag exactly the
-   injected transactions, the benign lane must derive zero
-   accounting-violation tuples, and the derived relations must be
-   identical between --jobs 1 and --jobs 4.  Runnable standalone via
-   [dune exec bench/main.exe accounting]; emits BENCH_accounting.json
-   plus a one-line BENCH_ACCOUNTING summary. *)
-
-let bench_accounting () =
-  let module Json = Xcw_util.Json in
-  let module Engine = Xcw_datalog.Engine in
-  let module Exit_bridge = Xcw_workload.Exit_bridge in
-  section
-    "Exit-bridge accounting: per-class build + detection latency (ms)";
-  let reps = if smoke then 1 else 5 in
-  let acc_relations =
+  let variants =
     [
-      Rules.r_acc_outflow_violation;
-      Rules.r_acc_outflow_tx;
-      Rules.r_acc_forged_exit_proof;
-      Rules.r_acc_stale_root_claim;
-      Rules.r_acc_root_divergence;
-      Rules.r_acc_slashing_evasion;
+      ("incremental", true, true);
+      ("from_scratch", false, true);
+      ("inert_instruments", true, false);
     ]
   in
-  let input_of (b : Scenario.built) label =
-    Detector.default_input ~label ~plugin:Decoder.ronin_plugin
-      ~config:b.Scenario.config
-      ~source_chain:b.Scenario.bridge.Bridge.source.Bridge.chain
-      ~target_chain:b.Scenario.bridge.Bridge.target.Bridge.chain
-      ~pricing:b.Scenario.pricing
-  in
-  (* Sorted accounting-relation contents — the derived-identical
-     cross-check between the sequential and 4-domain evaluations. *)
-  let acc_signature result =
-    List.map
-      (fun pred ->
-        (pred, List.sort compare (Engine.facts result.Detector.db pred)))
-      acc_relations
-  in
-  (* Benign lane first: the soundness row. *)
-  let benign_b = Exit_bridge.build_benign Exit_bridge.default_base in
-  let benign = Detector.run (input_of benign_b "exit") in
-  let benign_tuples =
-    List.fold_left
-      (fun acc rel -> acc + Engine.fact_count benign.Detector.db rel)
-      0 acc_relations
-  in
-  Printf.printf "%-22s accounting tuples %d (target 0)\n" "benign"
-    benign_tuples;
+  let per_poll s = 1000.0 *. s /. float_of_int polls in
+  Printf.printf "%8s %19s %19s %19s %8s %9s\n" "new txs" "incremental"
+    "from-scratch" "inert instruments" "speedup" "obs cost";
   let rows =
-    List.map
-      (fun cls ->
-        let slug = Report.acc_class_slug cls in
-        let spec = Exit_bridge.default_spec cls in
-        let build_ms = ref [] and detect_ms = ref [] in
-        let hits = ref 0 and exact = ref true and jobs_identical = ref true in
-        for _ = 1 to reps do
-          let t0 = Unix.gettimeofday () in
-          let inj = Exit_bridge.build spec in
-          let t1 = Unix.gettimeofday () in
-          let input = input_of inj.Exit_bridge.inj_built ("exit-" ^ slug) in
-          let result = Detector.run input in
-          let t2 = Unix.gettimeofday () in
-          build_ms := (1000.0 *. (t1 -. t0)) :: !build_ms;
-          detect_ms := (1000.0 *. (t2 -. t1)) :: !detect_ms;
-          let flagged =
-            match Report.acc_row result.Detector.report cls with
-            | Some xr ->
-                List.sort compare
-                  (List.map (fun h -> h.Report.ah_tx_hash) xr.Report.xr_hits)
-            | None -> []
-          in
-          hits := List.length flagged;
-          exact := !exact && flagged = inj.Exit_bridge.inj_attack_txs;
-          let par = Detector.run { input with Detector.i_ndomains = 4 } in
-          jobs_identical :=
-            !jobs_identical && acc_signature par = acc_signature result
-        done;
-        let b_ms = Stats.median !build_ms and d_ms = Stats.median !detect_ms in
-        Printf.printf
-          "%-22s build %7.1f ms  detect %7.1f ms  hits %d  exact %b  \
-           jobs-identical %b\n"
-          slug b_ms d_ms !hits !exact !jobs_identical;
-        (slug, b_ms, d_ms, !hits, !exact, !jobs_identical))
-      Report.acc_classes
-  in
-  let all_exact = List.for_all (fun (_, _, _, _, e, _) -> e) rows in
-  let all_identical = List.for_all (fun (_, _, _, _, _, i) -> i) rows in
-  let json =
-    Json.Obj
-      [
-        ("benchmark", Json.String "accounting");
-        ("seed", Json.Int seed);
-        ("reps", Json.Int reps);
-        ("benign_accounting_tuples", Json.Int benign_tuples);
-        ("all_exact", Json.Bool all_exact);
-        ("jobs_identical", Json.Bool all_identical);
-        ( "classes",
-          Json.List
+    List.concat_map
+      (fun new_txs ->
+        let ts =
+          time_variants ~reps
             (List.map
-               (fun (slug, b_ms, d_ms, hits, exact, identical) ->
-                 Json.Obj
-                   [
-                     ("class", Json.String slug);
-                     ("build_ms", Json.Float b_ms);
-                     ("detect_ms", Json.Float d_ms);
-                     ("hits", Json.Int hits);
-                     ("exact", Json.Bool exact);
-                     ("jobs_identical", Json.Bool identical);
-                   ])
-               rows) );
-      ]
+               (fun (_, incremental, live) -> variant ~incremental ~live new_txs)
+               variants)
+        in
+        let cell t =
+          Printf.sprintf "%7.2f / %7.2f ms" (per_poll t.t_min)
+            (per_poll t.t_median)
+        in
+        (match ts with
+        | [ inc; scr; inert ] ->
+            Printf.printf "%8d %19s %19s %19s %7.1fx %+8.1f%%\n" new_txs
+              (cell inc) (cell scr) (cell inert)
+              (scr.t_median /. Float.max 1e-9 inc.t_median)
+              (100.0 *. ((inc.t_median /. Float.max 1e-9 inert.t_median) -. 1.0))
+        | _ -> assert false);
+        List.map2
+          (fun (name, _, _) t ->
+            Json.Obj
+              [
+                ("new_txs_per_poll", Json.Int new_txs);
+                ("variant", Json.String name);
+                ("min_ms_per_poll", Json.Float (per_poll t.t_min));
+                ("median_ms_per_poll", Json.Float (per_poll t.t_median));
+              ])
+          variants ts)
+      tx_counts
   in
-  if not smoke then Json.write_file ~path:"BENCH_accounting.json" json;
   Printf.printf
-    "BENCH_ACCOUNTING benign_tuples=%d all_exact=%b jobs_identical=%b %s\n"
-    benign_tuples all_exact all_identical
-    (String.concat " "
-       (List.map
-          (fun (slug, _, d_ms, hits, _, _) ->
-            Printf.sprintf "%s=%.1fms/%d" slug d_ms hits)
-          rows));
-  if not smoke then Printf.printf "(written to BENCH_accounting.json)\n"
+    "(min / median over %d alternating reps of %d polls, ms per poll \
+     including decode + rule evaluation + dissection; speedup = \
+     from-scratch / incremental, obs cost = incremental / inert - 1, both \
+     on medians)\n"
+    reps polls;
+  write_bench_json ~mode:"monitor_steady_state" ~scale ~reps rows
 
 (* ------------------------------------------------------------------ *)
-(* obs: overhead of the Xcw_obs instrumentation.  Runs the identical
-   Nomad-scale monitor workload twice per repetition — once recording
-   into a live registry and tracer, once into the inert Metrics.noop /
-   Span.noop — and compares the minimum wall times.  Everything on the
-   hot path (RPC meters, decoder counters, per-rule histograms, monitor
-   gauges, spans) is exercised.  Runnable standalone via
-   [dune exec bench/main.exe obs]; emits BENCH_obs.json plus a one-line
-   BENCH_OBS summary. *)
+(* parallel: the cross-chain rules evaluated at --jobs 1 and --jobs 2
+   over the identical fact base of each bridge, as [Detector.run]
+   evaluates them (aggregates included).  Fact loading is set-up; the
+   timed region is [Engine.run].  Every figure is a wall time measured
+   on this host's cores.  Exits 1 if the derived relations differ
+   between the two runs. *)
 
-let bench_obs () =
-  let module Monitor = Xcw_core.Monitor in
-  let module U256 = Xcw_uint256.Uint256 in
-  let module Json = Xcw_util.Json in
-  let module Metrics = Xcw_obs.Metrics in
-  let module Span = Xcw_obs.Span in
-  section "Observability overhead: live registry vs inert instruments";
-  let reps = if smoke then 1 else 4 in
-  let polls = if smoke then 2 else 8 in
-  let txs_per_poll = if smoke then 1 else 5 in
-  (* One full monitor pass: catch-up over the whole Nomad history, then
-     [polls] steady-state polls of [txs_per_poll] fresh round trips.
-     Scenario construction is excluded from the timing — only the
-     instrumented pipeline (decode, rules, monitor) is measured.  The
-     RNG streams are identical on both sides, so the passes do exactly
-     the same work modulo instrumentation. *)
-  let run_pass ~metrics ~tracer =
-    let saved_reg = Metrics.default () and saved_tracer = Span.default () in
-    (* The decoder records through the default registry; point it at the
-       same place as the monitor so live/nil toggles the whole pipeline. *)
-    Metrics.set_default metrics;
-    Span.set_default tracer;
-    Fun.protect
-      ~finally:(fun () ->
-        Metrics.set_default saved_reg;
-        Span.set_default saved_tracer)
-      (fun () ->
-        let b = Xcw_workload.Nomad.build ~seed:(seed + 88) ~scale () in
-        let bridge = b.Scenario.bridge in
-        let src = bridge.Bridge.source.Bridge.chain in
-        let dst = bridge.Bridge.target.Bridge.chain in
-        let input =
-          Detector.default_input ~label:"nomad-obs"
-            ~plugin:Decoder.nomad_plugin ~config:b.Scenario.config
-            ~source_chain:src ~target_chain:dst ~pricing:b.Scenario.pricing
-        in
-        let mon = Monitor.create ~metrics input in
-        (* A token of a verified mapping, as in [monitor_steady_state]:
-           the head of [bridge.mappings] is Nomad's unverified WGLMR
-           pair, over which every deposit is a mapping violation. *)
-        let rt = List.hd b.Scenario.tokens in
-        let m = rt.Scenario.rt_mapping in
-        let user = Address.of_seed "obs-user" in
-        Chain.fund src user (U256.of_tokens ~decimals:18 10);
-        Chain.fund dst user (U256.of_tokens ~decimals:18 10);
-        Scenario.mint_src bridge rt user (U256.of_int 10_000_000);
-        let cur () =
-          ( List.length (Chain.all_blocks src),
-            List.length (Chain.all_blocks dst) )
-        in
-        let t0 = Unix.gettimeofday () in
-        let sb, tb = cur () in
-        ignore (Monitor.poll mon ~source_block:sb ~target_block:tb);
-        for _ = 1 to polls do
-          for _ = 1 to txs_per_poll do
-            let d =
-              Bridge.deposit_erc20 bridge ~user ~src_token:m.Bridge.m_src_token
-                ~amount:(U256.of_int 7) ~beneficiary:user
-            in
-            ignore (Bridge.complete_deposit bridge ~deposit:d)
-          done;
-          let sb, tb = cur () in
-          match Monitor.poll mon ~source_block:sb ~target_block:tb with
-          | [] -> ()
-          | a :: _ ->
-              failwith
-                (Printf.sprintf "obs: benign traffic raised an alert (%s)"
-                   a.Monitor.al_rule)
-        done;
-        (1000.0 *. (Unix.gettimeofday () -. t0), mon))
-  in
-  let live_ms = ref infinity and nil_ms = ref infinity in
-  let live_metrics = ref 0 and live_spans = ref 0 in
-  let run_live () =
-    let reg = Metrics.create () in
-    let tracer = Span.create () in
-    let ms, mon = run_pass ~metrics:reg ~tracer in
-    live_ms := Float.min !live_ms ms;
-    live_metrics := List.length (Monitor.metrics_snapshot mon);
-    live_spans := List.length (Span.records tracer) + Span.dropped tracer;
-    ms
-  in
-  let run_nil () =
-    let ms, _ = run_pass ~metrics:Metrics.noop ~tracer:Span.noop in
-    nil_ms := Float.min !nil_ms ms;
-    ms
-  in
-  (* Machine speed drifts between passes (shared hosts, GC state), so a
-     single live/nil ratio is unreliable.  Each repetition times the two
-     sides back to back — alternating which goes first to cancel
-     warm-up bias — and the reported overhead is the median of the
-     per-pair ratios. *)
-  let ratios =
-    List.init reps (fun rep ->
-        if rep mod 2 = 0 then
-          let l = run_live () in
-          let n = run_nil () in
-          l /. Float.max 1e-9 n
-        else
-          let n = run_nil () in
-          let l = run_live () in
-          l /. Float.max 1e-9 n)
-  in
-  let overhead_pct = 100.0 *. (Stats.median ratios -. 1.0) in
-  Printf.printf
-    "monitor pass (catch-up + %d polls x %d cctx): live %.1f ms, nil %.1f ms\n"
-    polls txs_per_poll !live_ms !nil_ms;
-  Printf.printf "%d metric series, %d spans recorded on the live side\n"
-    !live_metrics !live_spans;
-  let json =
-    Json.Obj
-      [
-        ("benchmark", Json.String "obs");
-        ("bridge", Json.String "nomad");
-        ("scale", Json.Float scale);
-        ("seed", Json.Int seed);
-        ("reps", Json.Int reps);
-        ("polls", Json.Int polls);
-        ("txs_per_poll", Json.Int txs_per_poll);
-        ("live_ms", Json.Float !live_ms);
-        ("nil_ms", Json.Float !nil_ms);
-        ("overhead_pct", Json.Float overhead_pct);
-        ("metric_series", Json.Int !live_metrics);
-        ("spans", Json.Int !live_spans);
-      ]
-  in
-  if not smoke then Json.write_file ~path:"BENCH_obs.json" json;
-  Printf.printf
-    "BENCH_OBS live_ms=%.1f nil_ms=%.1f overhead_pct=%.2f metric_series=%d \
-     spans=%d\n"
-    !live_ms !nil_ms overhead_pct !live_metrics !live_spans;
-  if not smoke then Printf.printf "(written to BENCH_obs.json)\n"
-
-(* ------------------------------------------------------------------ *)
-(* parallel: domain-parallel rule evaluation vs sequential.  Decodes
-   each bridge once, then evaluates the cross-chain rules over the
-   identical fact base at 1, 2 and 4 worker domains (fact loading is
-   outside the timed region — rule evaluation is the subsystem the
-   partitioning targets) and checks the derived relations stayed
-   byte-identical.
-
-   Honesty on constrained hosts: this container may expose fewer cores
-   than worker domains ([host_cores] is recorded in the JSON), in which
-   case the *measured* parallel wall time cannot beat sequential — the
-   domains time-share one core and only the overhead shows.  The pool
-   therefore times every task it executes and {!Xcw_par.Pool.stats}
-   reports both the summed busy time and the makespan a greedy
-   least-loaded schedule of those same tasks would reach on [ndomains]
-   unconstrained cores.  The *modeled* wall time substitutes that
-   makespan for the serialized task time
-   ([measured - busy + modeled_makespan]) and is the figure the
-   speedup targets apply to; on a host with >= 4 real cores the
-   measured and modeled columns converge.  Runnable standalone via
-   [dune exec bench/main.exe parallel]; emits BENCH_parallel.json plus
-   a one-line BENCH_PARALLEL summary. *)
-
-(* Rule evaluation at the shared 0.05 default finishes in tens of
-   milliseconds — too little work per stratum for the per-chunk
-   bookkeeping to amortize, which understates the speedup a real
-   workload sees.  When XCW_SCALE is unset this mode floors the scale
-   at 0.2; an explicit XCW_SCALE (and smoke mode) still wins. *)
+(* At the 0.05 default a stratum is too little work for the per-chunk
+   bookkeeping to amortize, so an unset XCW_SCALE means 0.2 here. *)
 let par_scale =
   if smoke || Sys.getenv_opt "XCW_SCALE" <> None then scale
   else Float.max scale 0.2
 
 let bench_parallel () =
   let scale = par_scale in
-  (* The detector applies this before evaluating; matching it here
-     keeps the timed region representative and cuts minor-GC noise,
-     which otherwise dominates run-to-run variance on this host. *)
   Engine.recommended_gc_setup ();
-  (* On top of that, keep the {e major} collector out of the timed
-     region: a pass at this scale fits comfortably in RAM, and a major
-     slice (20-40ms here) landing inside one small measured task would
-     serialize into the modeled makespan — on a real k-core run each
-     domain pays its own slices in parallel, which a 1-core host cannot
-     reproduce.  The [Gc.full_major] before each pass settles the debt
-     between measurements, so both the sequential and the partitioned
-     pass time pure evaluation work. *)
-  Gc.set
-    {
-      (Gc.get ()) with
-      Gc.space_overhead = 5000;
-      minor_heap_size = 32 * 1024 * 1024;
-    };
-  let module Facts = Xcw_core.Facts in
-  let module Json = Xcw_util.Json in
-  let module Pool = Xcw_par.Pool in
-  section
-    "Parallel evaluation: cross-chain rules at 1 / 2 / 4 worker domains";
-  let reps = if smoke then 1 else 5 in
-  let domain_counts = [ 1; 2; 4 ] in
-  let host_cores = Domain.recommended_domain_count () in
-  (* Decode once per bridge (the sequential reference path) so every
-     measurement evaluates the identical fact base; the timed region is
-     rule evaluation only — the subsystem the partitioning targets. *)
+  section "Parallel evaluation: cross-chain rules at --jobs 1 and --jobs 2";
+  let reps = if smoke then 2 else 6 in
+  let jobs = [ 1; 2 ] in
   let decode_facts (b : Scenario.built) plugin =
     let bridge = b.Scenario.bridge in
     let src = bridge.Bridge.source.Bridge.chain in
@@ -846,693 +292,77 @@ let bench_parallel () =
     Config.to_facts b.Scenario.config
     @ List.concat_map (fun rd -> rd.Decoder.rd_facts) rds
   in
-  (* One evaluation over a fresh database (fact loading untimed);
-     [`Seq] is the plain sequential engine, [`Domains k] evaluates on
-     [k] real spawned domains, [`Inline k] evaluates the identical
-     [k]-way partitioning on a {!Pool.sequential} modeling pool — tasks
-     run one at a time with the core to themselves, giving the clean
-     per-task times the [k]-core makespan model needs.  Returns the
-     wall time, the pool's per-task accounting, and the
-     derived-relation signature for the equality check. *)
-  let one_pass facts ~mode =
-    let module F = Xcw_core.Facts in
+  let variant facts ndomains () =
     let db = Engine.create_db () in
-    ignore (F.load_all db facts);
-    let pool =
-      match mode with
-      | `Seq -> None
-      | `Domains k -> Some (Pool.get ~ndomains:k)
-      | `Inline k -> Some (Pool.sequential ~ndomains:k)
-    in
-    Option.iter Pool.reset_stats pool;
-    (* Fact loading just left a heap of short-lived garbage; collect it
-       now so the timed region doesn't pay another pass's GC debt. *)
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let stats =
-      match pool with
-      | None -> Engine.run db Rules.program
-      | Some pool -> Engine.run ~pool db Rules.program
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let pstats =
-      match pool with
-      | Some p -> Pool.stats p
-      | None -> { Pool.st_batches = 0; st_tasks = 0; st_busy = 0.; st_modeled_wall = 0. }
-    in
-    let signature =
-      List.map
-        (fun pred ->
-          (pred, List.sort compare (Engine.facts db pred)))
-        (Engine.derived_predicates db)
-    in
-    (wall, pstats, stats.Engine.tuples_derived, signature)
+    ignore (Xcw_core.Facts.load_all db facts);
+    fun () ->
+      let stats =
+        Engine.run ~ndomains ~aggregates:Rules.aggregates db Rules.program
+      in
+      (stats.Engine.tuples_derived, db)
   in
+  let signature (derived, db) =
+    ( derived,
+      List.map
+        (fun pred -> (pred, List.sort compare (Engine.facts db pred)))
+        (Engine.derived_predicates db) )
+  in
+  let identical = ref true in
   let bench_bridge name (b : Scenario.built) plugin =
     subsection (Printf.sprintf "%s bridge (scale %.3f)" name scale);
     let facts = decode_facts b plugin in
-    let one_pass = one_pass facts in
-    (* Best-of-[reps] per mode, by the figure each mode is used for:
-       plain wall for [`Seq] and [`Domains], the modeled wall
-       ([wall - busy + makespan]) for [`Inline] — taking the min of the
-       reported quantity itself is what actually rejects a rep whose
-       noise landed inside the task timings rather than around them. *)
-    let keyed mode ((wall, (p : Pool.stats), _, _) as r) =
-      match mode with
-      | `Inline _ -> (wall -. p.Pool.st_busy +. p.Pool.st_modeled_wall, r)
-      | `Seq | `Domains _ -> (wall, r)
-    in
-    let measure mode =
-      let best = ref None in
-      for _ = 1 to reps do
-        let key, r = keyed mode (one_pass ~mode) in
-        match !best with
-        | Some (k, _) when k <= key -> ()
-        | _ -> best := Some (key, r)
-      done;
-      snd (Option.get !best)
-    in
-    let seq_wall, _, seq_derived, seq_sig = measure `Seq in
-    Printf.printf "%8s %12s %12s %12s %12s %10s %10s\n" "domains" "seq s"
-      "domains s" "busy s" "modeled s" "speedup" "identical";
-    Printf.printf "%8d %12.3f %12s %12s %12.3f %9.2fx %10b\n" 1 seq_wall "-"
-      "-" seq_wall 1.0 true;
-    let rows =
-      List.map
-        (fun k ->
-          (* Real spawned domains: the cross-domain determinism check
-             and the measured (time-shared on this host) wall. *)
-          let dom_wall, _, dom_derived, dom_sig = measure (`Domains k) in
-          (* Inline modeling pass: identical partitioning, clean
-             per-task times, k-core makespan. *)
-          let inl_wall, (p : Pool.stats), inl_derived, inl_sig =
-            measure (`Inline k)
-          in
-          let modeled =
-            Float.max 1e-9 (inl_wall -. p.Pool.st_busy +. p.Pool.st_modeled_wall)
-          in
-          let speedup = seq_wall /. modeled in
-          let identical =
-            dom_derived = seq_derived && dom_sig = seq_sig
-            && inl_derived = seq_derived && inl_sig = seq_sig
-          in
-          Printf.printf "%8d %12s %12.3f %12.3f %12.3f %9.2fx %10b\n" k "-"
-            dom_wall p.Pool.st_busy modeled speedup identical;
-          ( k,
-            Json.Obj
-              [
-                ("ndomains", Json.Int k);
-                ("sequential_wall_s", Json.Float seq_wall);
-                ("domains_wall_s", Json.Float dom_wall);
-                ("inline_wall_s", Json.Float inl_wall);
-                ("task_busy_s", Json.Float p.Pool.st_busy);
-                ("modeled_makespan_s", Json.Float p.Pool.st_modeled_wall);
-                ("modeled_wall_s", Json.Float modeled);
-                ("parallel_tasks", Json.Int p.Pool.st_tasks);
-                ("modeled_speedup", Json.Float speedup);
-                ("relations_identical", Json.Bool identical);
-              ],
-            (speedup, identical) ))
-        (List.filter (fun k -> k > 1) domain_counts)
-    in
-    Printf.printf
-      "(modeled = inline partitioned wall - serialized task time + k-core\n\
-      \ makespan of the same tasks; this host has %d core(s), so the real\n\
-      \ spawned-domain wall time-shares one core and only checks that the\n\
-      \ derived relations stay identical)\n"
-      host_cores;
-    rows
+    let ts = time_variants ~reps (List.map (variant facts) jobs) in
+    let base = List.hd ts in
+    let base_sig = signature base.t_result in
+    Printf.printf "%6s %10s %10s %10s %10s\n" "jobs" "min s" "median s"
+      "vs jobs 1" "identical";
+    List.map2
+      (fun k t ->
+        let same = signature t.t_result = base_sig in
+        identical := !identical && same;
+        Printf.printf "%6d %10.3f %10.3f %9.2fx %10b\n" k t.t_min t.t_median
+          (base.t_median /. Float.max 1e-9 t.t_median)
+          same;
+        Json.Obj
+          [
+            ("bridge", Json.String name);
+            ("jobs", Json.Int k);
+            ("min_s", Json.Float t.t_min);
+            ("median_s", Json.Float t.t_median);
+            ("relations_identical", Json.Bool same);
+          ])
+      jobs ts
   in
-  (* XCW_BENCH_BRIDGE=nomad|ronin restricts the run to one scenario —
-     an iteration aid; the committed JSON always carries both. *)
-  let only = Sys.getenv_opt "XCW_BENCH_BRIDGE" in
-  let want name = match only with None -> true | Some o -> o = name in
   let ronin_rows =
-    if want "ronin" then
-      let ronin = Xcw_workload.Ronin.build ~seed:(seed + 61) ~scale () in
-      bench_bridge "ronin" ronin Decoder.ronin_plugin
-    else []
+    bench_bridge "ronin"
+      (Xcw_workload.Ronin.build ~seed:(seed + 61) ~scale ())
+      Decoder.ronin_plugin
   in
   let nomad_rows =
-    if want "nomad" then
-      let nomad = Xcw_workload.Nomad.build ~seed:(seed + 62) ~scale () in
-      bench_bridge "nomad" nomad Decoder.nomad_plugin
-    else []
+    bench_bridge "nomad"
+      (Xcw_workload.Nomad.build ~seed:(seed + 62) ~scale ())
+      Decoder.nomad_plugin
   in
-  let pick rows k =
-    match List.find_opt (fun (k', _, _) -> k' = k) rows with
-    | Some (_, _, (speedup, identical)) -> (speedup, identical)
-    | None -> (Float.nan, true)
-  in
-  let nomad4, nomad4_ok = pick nomad_rows 4 in
-  let ronin4, ronin4_ok = pick ronin_rows 4 in
-  let all_identical =
-    List.for_all
-      (fun (_, _, (_, ok)) -> ok)
-      (ronin_rows @ nomad_rows)
-  in
-  let json =
-    Json.Obj
-      [
-        ("benchmark", Json.String "parallel");
-        ("scale", Json.Float scale);
-        ("seed", Json.Int seed);
-        ("reps", Json.Int reps);
-        ("host_cores", Json.Int host_cores);
-        ( "note",
-          Json.String
-            "modeled_speedup = sequential_wall_s / modeled_wall_s, where \
-             modeled_wall_s re-times the identical k-way partitioning \
-             inline (one task at a time, so per-task times are free of \
-             time-sharing noise) and replaces the serialized task time \
-             with the greedy least-loaded k-core makespan; \
-             domains_wall_s is the real spawned-domain run, which on a \
-             host with fewer cores than domains time-shares one core and \
-             serves as the cross-domain determinism check" );
-        ("speedup_target_at_4", Json.Float 1.8);
-        ( "ronin",
-          Json.List (List.map (fun (_, j, _) -> j) ronin_rows) );
-        ( "nomad",
-          Json.List (List.map (fun (_, j, _) -> j) nomad_rows) );
-      ]
-  in
-  if (not smoke) && only = None then
-    Json.write_file ~path:"BENCH_parallel.json" json;
   Printf.printf
-    "BENCH_PARALLEL host_cores=%d nomad_speedup_at_4=%.2f \
-     ronin_speedup_at_4=%.2f target_ge=1.8 relations_identical=%b\n"
-    host_cores nomad4 ronin4
-    (all_identical && nomad4_ok && ronin4_ok);
-  if (not smoke) && only = None then
-    Printf.printf "(written to BENCH_parallel.json)\n"
-
-(* ------------------------------------------------------------------ *)
-(* fleet: multi-bridge supervision at 4 / 8 / 16 lanes under clean,
-   moderate and mixed (one majority-Byzantine quorum lane + one
-   moderate-fault lane) plans.  Reports per-poll fleet latency vs
-   bridge count — measured sequential wall plus the 4-domain modeled
-   makespan per the parallel bench's honesty protocol — and asserts
-   the isolation contract: every lane's alert stream is byte-identical
-   to a solo single-lane supervisor run of the same spec.  Fleets of 6+
-   lanes carry a mirrored attack lane (same scenario, different lane
-   name) so the bus's cross-bridge collapse shows up in the collapsed
-   column.  Runnable standalone via [dune exec bench/main.exe fleet];
-   emits BENCH_fleet.json plus a one-line BENCH_FLEET summary. *)
-
-(* The subject is lane-count scaling, not per-lane volume: 16 lanes
-   replay 16 full scenarios, so the default trims the per-lane scale to
-   keep the 3x3 matrix (plus solo differentials) in CI territory.  An
-   explicit XCW_SCALE (and smoke mode) still wins. *)
-let fleet_scale =
-  if smoke || Sys.getenv_opt "XCW_SCALE" <> None then scale
-  else Float.min scale 0.02
-
-let bench_fleet () =
-  let module Json = Xcw_util.Json in
-  let module Pool = Xcw_par.Pool in
-  let module Mon = Xcw_core.Monitor in
-  let module Sup = Xcw_fleet.Supervisor in
-  let module Bus = Xcw_fleet.Bus in
-  let module Presets = Xcw_fleet.Presets in
-  Engine.recommended_gc_setup ();
-  let scale = fleet_scale in
-  section
-    "Fleet supervision: per-poll latency vs bridge count, lane isolation";
-  (* XCW_FLEET_FULL=1 restores the full lane matrix under smoke gating
-     (tiny scale, no BENCH_fleet.json) — the @stress alias's shape. *)
-  let full = Sys.getenv_opt "XCW_FLEET_FULL" <> None in
-  let counts = if smoke && not full then [ 2; 4 ] else [ 4; 8; 16 ] in
-  let max_n = List.fold_left max 0 counts in
-  let rounds_to_sync = if smoke && not full then 4 else 8 in
-  let rounds = rounds_to_sync + 4 in
-  let plans = [ `Clean; `Moderate; `Mixed ] in
-  let plan_name = function
-    | `Clean -> "clean"
-    | `Moderate -> "moderate"
-    | `Mixed -> "mixed"
-  in
-  let kinds =
-    [|
-      Presets.Generic_kind Xcw_workload.Generic.default_spec;
-      Presets.Attack Report.Forged_proof;
-      Presets.Nomad;
-      Presets.Ronin;
-    |]
-  in
-  (* Lane i of every fleet: kind round-robin, scenario seed and RPC
-     seed derived from the index — so lane i is the same bridge at
-     every fleet size and the solo-stream cache below carries across
-     bridge counts. *)
-  let fault_of plan i =
-    match plan with
-    | `Clean -> `None
-    | `Moderate -> `Moderate
-    | `Mixed -> if i = 1 then `Byzantine else if i = 2 then `Moderate else `None
-  in
-  let fault_tag = function
-    | `None -> "none"
-    | `Moderate -> "moderate"
-    | `Byzantine -> "byzantine"
-  in
-  let tweak_of fault ~rpc_seed input =
-    let input = { input with Detector.i_rpc_seed = rpc_seed } in
-    match fault with
-    | `None -> input
-    | `Moderate ->
-        {
-          input with
-          Detector.i_source_fault = Some Fault.moderate;
-          i_target_fault = Some Fault.moderate;
-        }
-    | `Byzantine ->
-        (* Two of three endpoints lie: below the f < k Byzantine
-           threshold the quorum cannot protect the lane — lies that
-           agree outvote the honest node — but the damage stays inside
-           this lane's stream, which the differential still pins. *)
-        let efs = [ None; Some Fault.byzantine; Some Fault.byzantine ] in
-        {
-          input with
-          Detector.i_endpoints = 3;
-          i_quorum = 2;
-          i_source_endpoint_faults = efs;
-          i_target_endpoint_faults = efs;
-        }
-  in
-  (* (kind slug, scenario seed, fault tag) — lane identity for the solo
-     cache; the mirrored dup lane shares its original's key. *)
-  let lane_of plan i ~dup_of =
-    let src = match dup_of with Some j -> j | None -> i in
-    let kind = kinds.(src mod Array.length kinds) in
-    let lane_seed = seed + (src * 17) in
-    let rpc_seed = seed + (src * 101) in
-    let fault = fault_of plan i in
-    let name =
-      Printf.sprintf "%s-%02d%s" (Presets.kind_slug kind) i
-        (match dup_of with Some _ -> "-dup" | None -> "")
-    in
-    let key =
-      Printf.sprintf "%s|%d|%s" (Presets.kind_slug kind) lane_seed
-        (fault_tag fault)
-    in
-    ( key,
-      Presets.lane ~scale ~seed:lane_seed ~rounds_to_sync ~name
-        ~tweak:(tweak_of fault ~rpc_seed) kind )
-  in
-  let render_stream alerts =
-    String.concat "\n"
-      (List.map
-         (fun (a : Mon.alert) ->
-           let sb, tb = a.Mon.al_detected_at in
-           Printf.sprintf "%s|(%d,%d)" (Bus.signature a) sb tb)
-         alerts)
-  in
-  (* Solo reference streams, computed once per lane identity: a
-     single-lane supervisor with the identical breaker / budget /
-     window configuration. *)
-  let solo_cache : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let solo_stream key lane =
-    match Hashtbl.find_opt solo_cache key with
-    | Some s -> s
-    | None ->
-        let sup = Sup.create [ lane ] in
-        ignore (Sup.run sup ~rounds);
-        let s = render_stream (Sup.lane_alerts sup 0) in
-        Hashtbl.add solo_cache key s;
-        s
-  in
-  let mismatches = ref [] in
-  let one_config plan n =
-    (* One lane list per config; the specs are immutable (prebuilt
-       chains + cursor closures), so the sequential run, the modeled
-       run and the solo references all reuse them. *)
-    let lanes =
-      List.init n (fun i ->
-          if n >= 6 && i = n - 1 then lane_of plan i ~dup_of:(Some 5)
-          else lane_of plan i ~dup_of:None)
-    in
-    let specs = List.map snd lanes in
-    (* Measured pass: sequential in-process polling, per-round wall. *)
-    let sup = Sup.create specs in
-    let walls =
-      List.init rounds (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          ignore (Sup.poll sup);
-          Unix.gettimeofday () -. t0)
-    in
-    (* Modeled pass: the identical fleet over a sequential modeling
-       pool — clean per-lane task times, greedy 4-core makespan. *)
-    let pool = Pool.sequential ~ndomains:4 in
-    let sup_m = Sup.create ~pool specs in
-    let modeled =
-      List.init rounds (fun _ ->
-          Pool.reset_stats pool;
-          let t0 = Unix.gettimeofday () in
-          ignore (Sup.poll sup_m);
-          let wall = Unix.gettimeofday () -. t0 in
-          let st = Pool.stats pool in
-          Float.max 1e-9 (wall -. st.Pool.st_busy +. st.Pool.st_modeled_wall))
-    in
-    (* Isolation differential: every lane (faulted ones included — the
-       supervisor shares nothing between lanes) against its solo run,
-       in both the measured and the modeled fleet. *)
-    List.iteri
-      (fun i (key, lane) ->
-        let want = solo_stream key lane in
-        let check tag sup =
-          let got = render_stream (Sup.lane_alerts sup i) in
-          if got <> want then
-            mismatches :=
-              Printf.sprintf "%s/%d lane %d (%s, %s)" (plan_name plan) n i
-                lane.Sup.l_name tag
-              :: !mismatches
-        in
-        check "measured" sup;
-        check "modeled" sup_m)
-      lanes;
-    let h = Sup.health sup in
-    let total = List.fold_left ( +. ) 0. walls in
-    let mean = total /. float_of_int rounds in
-    let vmax = List.fold_left Float.max 0. walls in
-    let m_total = List.fold_left ( +. ) 0. modeled in
-    let m_mean = m_total /. float_of_int rounds in
-    Printf.printf "%9s %8d %8d %11.3f %11.3f %11.3f %11.3f %8d %10d %7d\n"
-      (plan_name plan) n rounds mean vmax m_mean
-      (mean /. Float.max 1e-9 m_mean)
-      h.Sup.fh_emitted h.Sup.fh_collapsed h.Sup.fh_parked;
-    Json.Obj
-      [
-        ("plan", Json.String (plan_name plan));
-        ("bridges", Json.Int n);
-        ("rounds", Json.Int rounds);
-        ("mean_poll_wall_s", Json.Float mean);
-        ("max_poll_wall_s", Json.Float vmax);
-        ("total_wall_s", Json.Float total);
-        ("modeled4_mean_poll_s", Json.Float m_mean);
-        ("modeled4_total_s", Json.Float m_total);
-        ("modeled_speedup", Json.Float (mean /. Float.max 1e-9 m_mean));
-        ("emitted", Json.Int h.Sup.fh_emitted);
-        ("collapsed", Json.Int h.Sup.fh_collapsed);
-        ("parked_final", Json.Int h.Sup.fh_parked);
-        ("lanes_identical", Json.Bool (!mismatches = []));
-      ]
-  in
-  Printf.printf "%9s %8s %8s %11s %11s %11s %11s %8s %10s %7s\n" "plan"
-    "bridges" "rounds" "mean s" "max s" "model4 s" "speedup" "emitted"
-    "collapsed" "parked";
-  let rows =
-    List.concat_map (fun plan -> List.map (one_config plan) counts) plans
-  in
-  let all_identical = !mismatches = [] in
-  let json =
-    Json.Obj
-      [
-        ("benchmark", Json.String "fleet");
-        ("scale", Json.Float scale);
-        ("seed", Json.Int seed);
-        ("rounds_to_sync", Json.Int rounds_to_sync);
-        ( "note",
-          Json.String
-            "mean_poll_wall_s is the sequential in-process fleet round; \
-             modeled4_mean_poll_s re-times the identical round on a \
-             sequential modeling pool and replaces the serialized lane \
-             time with the greedy least-loaded 4-core makespan; \
-             lanes_identical asserts every lane's alert stream is \
-             byte-identical to a solo single-lane supervisor run" );
-        ("rows", Json.List rows);
-      ]
-  in
-  if not smoke then Json.write_file ~path:"BENCH_fleet.json" json;
-  Printf.printf
-    "BENCH_FLEET configs=%d max_bridges=%d lanes_identical=%b \
-     solo_refs=%d\n"
-    (List.length rows) max_n all_identical (Hashtbl.length solo_cache);
-  if not smoke then Printf.printf "(written to BENCH_fleet.json)\n";
-  if not all_identical then begin
-    List.iter (Printf.printf "  MISMATCH %s\n") (List.rev !mismatches);
-    failwith "fleet bench: lane stream diverged from its solo run"
-  end
-
-(* ------------------------------------------------------------------ *)
-(* recovery: durable-state cost and crash-resume speedup.
-
-   Two questions.  First, what does per-poll durability cost in steady
-   state: the same Nomad-scale poll schedule is driven plain and
-   checkpointed (WAL record fsynced per poll, snapshot every 8) in
-   alternating repetitions — min wall time per mode, so allocator and
-   GC drift between runs cannot masquerade as WAL cost — and the delta
-   is the WAL overhead (acceptance: < 5%).  Second, how much faster is
-   resuming from the checkpoint than re-scanning from genesis
-   (acceptance: >= 5x).  Both sides are timed to the same milestone,
-   holding the full monitor state at the last durable poll: resume =
-   recover the state directory (snapshot + WAL tail replay, derived
-   tuples grafted back via [Engine.restore_fixpoint] — no rule
-   re-derivation); genesis = a fresh monitor decoding and deriving the
-   entire history in one catch-up poll.  Alert-stream equivalence
-   between the plain and durable runs and exactly-once resumption
-   (zero duplicate alerts from the resumed monitor's next poll) are
-   asserted, not sampled.  Runnable standalone via
-   [dune exec bench/main.exe recovery]; emits BENCH_recovery.json. *)
-
-let bench_recovery () =
-  let module Monitor = Xcw_core.Monitor in
-  let module Store = Xcw_store.Store in
-  let module Json = Xcw_util.Json in
-  section
-    "Durable state: per-poll WAL overhead, checkpoint-resume vs from-genesis";
-  let polls = if smoke then 6 else 48 in
-  let reps = if smoke then 1 else 3 in
-  let snapshot_every =
-    env_number "XCW_SNAP_EVERY" ~expected:"an integer" int_of_string_opt 8
-  in
-  let built = Xcw_workload.Nomad.build ~seed:(seed + 31) ~scale () in
-  let bridge = built.Scenario.bridge in
-  let src = bridge.Bridge.source.Bridge.chain in
-  let dst = bridge.Bridge.target.Bridge.chain in
-  let input =
-    Detector.default_input ~label:"nomad-recovery"
-      ~plugin:Decoder.nomad_plugin ~config:built.Scenario.config
-      ~source_chain:src ~target_chain:dst ~pricing:built.Scenario.pricing
-  in
-  (* Advance both cursors in [polls] equal strides over the already-built
-     history, so every poll decodes a comparable block slice. *)
-  let sb_max = List.length (Chain.all_blocks src) in
-  let tb_max = List.length (Chain.all_blocks dst) in
-  let schedule =
-    List.init polls (fun i ->
-        ((i + 1) * sb_max / polls, (i + 1) * tb_max / polls))
-  in
-  let final_sb, final_tb = List.nth schedule (polls - 1) in
-  let render alerts =
-    String.concat "\n"
-      (List.map
-         (fun (a : Monitor.alert) ->
-           Printf.sprintf "%d|%s|%s" a.Monitor.al_seq a.Monitor.al_rule
-             a.Monitor.al_anomaly.Report.a_tx_hash)
-         alerts)
-  in
-  let fresh_dir () =
-    let d = Filename.temp_file "xcw-bench-recovery" "" in
-    Sys.remove d;
-    d
-  in
-  let drive ?checkpoint () =
-    let mon = Monitor.create ?checkpoint input in
-    let t0 = Unix.gettimeofday () in
-    let alerts =
-      List.concat_map
-        (fun (sb, tb) -> Monitor.poll mon ~source_block:sb ~target_block:tb)
-        schedule
-    in
-    (Unix.gettimeofday () -. t0, alerts, mon)
-  in
-  (* Alternating repetitions; min per mode, [Gc.compact] before each
-     timed run so heap drift between runs cannot masquerade as WAL
-     cost.  The last durable rep's directory feeds the resume
-     measurements. *)
-  let plain_s = ref infinity and durable_s = ref infinity in
-  let plain_rpc = ref 0.0 and durable_rpc = ref 0.0 in
-  let plain_alerts = ref [] and durable_alerts = ref [] in
-  let last = ref None in
-  for _ = 1 to reps do
-    Gc.compact ();
-    let ps, pa, pm = drive () in
-    plain_s := Float.min !plain_s ps;
-    plain_rpc := Monitor.rpc_seconds pm;
-    plain_alerts := pa;
-    let dir = fresh_dir () in
-    let ck = Monitor.Checkpoint.open_ ~snapshot_every ~dir () in
-    let store = Monitor.Checkpoint.store ck in
-    Gc.compact ();
-    let ds, da, dm = drive ~checkpoint:ck () in
-    durable_s := Float.min !durable_s ds;
-    durable_rpc := Monitor.rpc_seconds dm;
-    durable_alerts := da;
-    last := Some (dir, store, dm)
-  done;
-  let dir, store, durable_mon = Option.get !last in
-  if render !plain_alerts <> render !durable_alerts then
-    failwith "recovery bench: durable alert stream diverged from plain run";
-  (* A deployed poll's cost is wall time plus the RPC seconds the
-     simulation accumulates instead of sleeping — here against an
-     ideal co-located node (the cheapest deployment, so the least
-     favourable denominator for the WAL).  The compute-only delta is
-     reported alongside. *)
-  let plain_total = !plain_s +. !plain_rpc in
-  let durable_total = !durable_s +. !durable_rpc in
-  let overhead_pct =
-    100.0 *. (durable_total -. plain_total) /. plain_total
-  in
-  let compute_overhead_pct =
-    100.0 *. (!durable_s -. !plain_s) /. !plain_s
-  in
-  let wal_appended = Store.appended_bytes store in
-  let wal_live = Store.wal_bytes store in
-  (* Time-to-state: both sides end holding the full monitor state of
-     the last durable poll.  Resume recovers it from disk without
-     touching a node; genesis re-fetches and re-derives it from the
-     chains in one catch-up poll.  Both monitors run against
-     Nomad-profile nodes (paper Table 2), whose per-fetch latency is
-     accumulated by the simulation rather than slept — so each side's
-     recovery cost is its wall time plus the RPC seconds a real
-     deployment would additionally wait out. *)
-  let input_rpc =
-    {
-      input with
-      Detector.i_source_profile = Latency.nomad_profile;
-      i_target_profile = Latency.nomad_profile;
-    }
-  in
-  let resume_s = ref infinity and genesis_s = ref infinity in
-  let genesis_rpc_s = ref 0.0 in
-  let genesis_alerts = ref [] in
-  for _ = 1 to reps do
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    let ck = Monitor.Checkpoint.open_ ~snapshot_every ~dir () in
-    let m = Monitor.create ~checkpoint:ck input_rpc in
-    let wall = Unix.gettimeofday () -. t0 in
-    (* Recovery performs no fetches, so its simulated RPC cost is 0. *)
-    resume_s := Float.min !resume_s (wall +. Monitor.rpc_seconds m);
-    if Monitor.alert_seq m <> Monitor.alert_seq durable_mon then
-      failwith "recovery bench: alert sequence counter not recovered";
-    Monitor.Checkpoint.close ck;
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    let g = Monitor.create input_rpc in
-    genesis_alerts :=
-      Monitor.poll g ~source_block:final_sb ~target_block:final_tb;
-    let total = Unix.gettimeofday () -. t0 +. Monitor.rpc_seconds g in
-    if total < !genesis_s then begin
-      genesis_s := total;
-      genesis_rpc_s := Monitor.rpc_seconds g
-    end
-  done;
-  (* The incremental run can additionally alert on transients visible
-     only at intermediate cursors, so genesis's one-shot view is a
-     subset of the durable stream, not an equal set. *)
-  let key (a : Monitor.alert) =
-    ( a.Monitor.al_rule,
-      Report.class_name a.Monitor.al_anomaly.Report.a_class,
-      a.Monitor.al_anomaly.Report.a_tx_hash )
-  in
-  let durable_keys = List.map key !durable_alerts in
-  if
-    List.exists
-      (fun a -> not (List.mem (key a) durable_keys))
-      !genesis_alerts
-  then
-    failwith
-      "recovery bench: genesis re-scan derived alerts absent from the \
-       durable stream";
-  (* Exactly-once: the resumed monitor's next poll at the final cursors
-     must be a live no-op — nothing re-decoded, nothing re-alerted. *)
-  let ck = Monitor.Checkpoint.open_ ~snapshot_every ~dir () in
-  let resumed = Monitor.create ~checkpoint:ck input_rpc in
-  let t0 = Unix.gettimeofday () in
-  let dup = Monitor.poll resumed ~source_block:final_sb ~target_block:final_tb in
-  let first_poll_s = Unix.gettimeofday () -. t0 in
-  Monitor.Checkpoint.close ck;
-  if dup <> [] then
-    failwith "recovery bench: resumed monitor re-emitted durable alerts";
-  let speedup = !genesis_s /. Float.max 1e-9 !resume_s in
-  Printf.printf "%30s %10.3f s  (%.3f s compute + %.1f s RPC)\n"
-    "plain run (no store)" plain_total !plain_s !plain_rpc;
-  Printf.printf "%30s %10.3f s  (%+.2f%% deployed, %+.1f%% compute-only)\n"
-    "durable run (WAL per poll)" durable_total overhead_pct
-    compute_overhead_pct;
-  Printf.printf "%30s %10d B appended, %d B live after snapshots\n"
-    "WAL traffic" wal_appended wal_live;
-  Printf.printf "%30s %10.3f s  (no node fetches)\n" "checkpoint resume"
-    !resume_s;
-  Printf.printf "%30s %10.3f s  (%.1f s simulated RPC, %d alerts re-derived)\n"
-    "from-genesis re-scan" !genesis_s !genesis_rpc_s
-    (List.length !genesis_alerts);
-  Printf.printf "%30s %10.3f s  (0 duplicate alerts)\n"
-    "first poll after resume" first_poll_s;
-  let json =
-    Json.Obj
-      [
-        ("benchmark", Json.String "recovery");
-        ("bridge", Json.String "nomad");
-        ("scale", Json.Float scale);
-        ("seed", Json.Int seed);
-        ("polls", Json.Int polls);
-        ("reps", Json.Int reps);
-        ("snapshot_every", Json.Int snapshot_every);
-        ("plain_wall_s", Json.Float !plain_s);
-        ("durable_wall_s", Json.Float !durable_s);
-        ("poll_rpc_s", Json.Float !plain_rpc);
-        ("wal_overhead_pct", Json.Float overhead_pct);
-        ("wal_compute_overhead_pct", Json.Float compute_overhead_pct);
-        ("wal_appended_bytes", Json.Int wal_appended);
-        ("wal_live_bytes", Json.Int wal_live);
-        ("alerts", Json.Int (List.length !durable_alerts));
-        ("resume_total_s", Json.Float !resume_s);
-        ("genesis_total_s", Json.Float !genesis_s);
-        ("genesis_rpc_s", Json.Float !genesis_rpc_s);
-        ("resume_speedup", Json.Float speedup);
-        ("resume_first_poll_s", Json.Float first_poll_s);
-        ("streams_identical", Json.Bool true);
-        ("resume_duplicates", Json.Int 0);
-        ( "note",
-          Json.String
-            "min over alternating reps, Gc.compact before each timed \
-             run; overhead compares the same poll schedule with and \
-             without the fsynced per-poll WAL (snapshots included), \
-             against the deployed poll cost = wall + simulated RPC \
-             seconds of an ideal co-located node (the cheapest \
-             deployment, hence the least favourable denominator); \
-             resume recovers the state directory to the last durable \
-             poll's full state — no node fetches, no rule \
-             re-derivation; genesis re-fetches and re-derives that \
-             state from Nomad-profile nodes in one catch-up poll, its \
-             total = wall + simulated RPC seconds (accumulated, never \
-             slept)" );
-      ]
-  in
-  if not smoke then Json.write_file ~path:"BENCH_recovery.json" json;
-  Printf.printf
-    "BENCH_RECOVERY overhead=%.1f%% resume=%.3fs genesis=%.3fs \
-     speedup=%.1fx duplicates=0\n"
-    overhead_pct !resume_s !genesis_s speedup;
-  if not smoke then Printf.printf "(written to BENCH_recovery.json)\n"
+    "(min / median over %d alternating reps, measured on %d host core(s); \
+     vs jobs 1 = jobs-1 median / this median)\n"
+    reps
+    (Domain.recommended_domain_count ());
+  if not !identical then begin
+    prerr_endline "bench: derived relations differ between --jobs 1 and 2";
+    exit 1
+  end;
+  write_bench_json ~mode:"parallel" ~scale ~reps (ronin_rows @ nomad_rows)
 
 (* ------------------------------------------------------------------ *)
 (* The mode table: [dune exec bench/main.exe MODE] runs one mode and
-   exits; no argument runs the full paper harness below.  Each entry is
-   (mode, title, scale shown in the header line, run). *)
+   exits; no argument runs the paper harness below.  Each entry is
+   (mode, (title, scale shown in the header line, run)). *)
 
 let modes =
   [
-    ("monitor_steady_state", ("monitor", Some scale, monitor_steady_state));
-    ("faults", ("fault", Some scale, bench_faults));
-    ("quorum", ("quorum", Some scale, bench_quorum));
-    ("attacks", ("attack-pack", None, bench_attacks));
-    ("accounting", ("accounting", None, bench_accounting));
-    ("obs", ("observability", Some scale, bench_obs));
-    ("parallel", ("parallel", Some par_scale, bench_parallel));
-    ("fleet", ("fleet", Some fleet_scale, bench_fleet));
-    ("recovery", ("recovery", Some scale, bench_recovery));
+    ("monitor_steady_state", ("monitor", scale, monitor_steady_state));
+    ("parallel", ("parallel", par_scale, bench_parallel));
   ]
 
 let () =
@@ -1540,11 +370,8 @@ let () =
   | [] -> ()
   | [ mode ] when List.mem_assoc mode modes ->
       let title, shown_scale, run = List.assoc mode modes in
-      Printf.printf "XChainWatcher %s bench (%sseed %d)\n" title
-        (match shown_scale with
-        | Some s -> Printf.sprintf "scale %.3f, " s
-        | None -> "")
-        seed;
+      Printf.printf "XChainWatcher %s bench (scale %.3f, seed %d)\n" title
+        shown_scale seed;
       run ();
       exit 0
   | args ->
@@ -1978,7 +805,9 @@ let () =
          (one 6-hour polling interval; the Ronin team needed 6 DAYS, and the\n\
          2024 re-attack still took ~40 minutes to pause)\n"
         attack t (t - attack + poll_interval)
-  | None -> Printf.printf "attack not detected (unexpected)\n");
+  | None ->
+      prerr_endline "bench: the Ronin attack was not detected by the monitor";
+      exit 1);
   Printf.printf "monitor polls: %d, cached facts: %d\n" (Monitor.polls mon)
     (Monitor.facts_cached mon)
 
@@ -2462,9 +1291,6 @@ let () =
       | Some [ est ] -> Printf.printf "%-40s %14.1f ns/run\n" name est
       | _ -> Printf.printf "%-40s (no estimate)\n" name)
     (List.sort compare rows)
-
-let () = monitor_steady_state ()
-let () = bench_faults ()
 
 let () =
   Printf.printf

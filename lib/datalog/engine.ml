@@ -1752,7 +1752,7 @@ let eval_stratum_parallel (db : db) (stats : stats) ~naive ~obs ~pool
 let eval_stratum (db : db) (stats : stats) ~naive ~obs ?pool ~stratum_i
     (stratum_rules : rule list) (recursive : bool) ~seed ~on_new : unit =
   match pool with
-  | Some pool when Pool.ndomains pool > 1 ->
+  | Some pool ->
       let fanout_gauge =
         Metrics.gauge obs.eo_reg
           ~labels:[ ("stratum", string_of_int stratum_i) ]
@@ -1760,7 +1760,7 @@ let eval_stratum (db : db) (stats : stats) ~naive ~obs ?pool ~stratum_i
       in
       eval_stratum_parallel db stats ~naive ~obs ~pool ~fanout_gauge
         stratum_rules recursive ~seed ~on_new
-  | _ -> eval_stratum_seq db stats ~naive ~obs stratum_rules recursive ~seed ~on_new
+  | None -> eval_stratum_seq db stats ~naive ~obs stratum_rules recursive ~seed ~on_new
 
 let mark_derived (db : db) (stratum_rules : rule list) =
   List.iter
@@ -1854,22 +1854,19 @@ let compute_aggregate (db : db) (stats : stats) (agg : aggregate) :
   stats.tuples_derived <- stats.tuples_derived + List.length tuples;
   tuples
 
-let pool_for ?pool ndomains =
-  match pool with
-  | Some p -> if Pool.ndomains p > 1 then Some p else None
-  | None ->
-      if ndomains < 1 then invalid_arg "Engine: ndomains must be >= 1"
-      else if ndomains = 1 then None
-      else Some (Pool.get ~ndomains)
+let pool_for ndomains =
+  if ndomains < 1 then invalid_arg "Engine: ndomains must be >= 1"
+  else if ndomains = 1 then None
+  else Some (Pool.get ~ndomains)
 
 (** [run ?naive db program] evaluates all rules to fixpoint, stratum by
     stratum, adding derived tuples to [db] in place.  [naive] disables
     semi-naive deltas (used by the ablation bench).  [ndomains]
     (default 1: bit-identical sequential behaviour) evaluates each
     stratum on a shared domain pool.  Returns evaluation statistics. *)
-let run ?(naive = false) ?metrics ?(ndomains = 1) ?pool ?(aggregates = [])
+let run ?(naive = false) ?metrics ?(ndomains = 1) ?(aggregates = [])
     (db : db) (program : program) : stats =
-  let pool = pool_for ?pool ndomains in
+  let pool = pool_for ndomains in
   let reg = match metrics with Some m -> m | None -> Metrics.default () in
   let obs = make_obs reg program in
   List.iter check_rule_safety program.rules;
@@ -1913,11 +1910,11 @@ let run ?(naive = false) ?metrics ?(ndomains = 1) ?pool ?(aggregates = [])
     EDB relations and their indices are never rebuilt.  The program
     must be the same one evaluated on [db] previously (the first call
     on a fresh database falls back to a full {!run}). *)
-let run_incremental ?metrics ?(ndomains = 1) ?pool ?(aggregates = []) (db : db)
+let run_incremental ?metrics ?(ndomains = 1) ?(aggregates = []) (db : db)
     (program : program) : stats =
-  if not db.db_ran then run ?metrics ~ndomains ?pool ~aggregates db program
+  if not db.db_ran then run ?metrics ~ndomains ~aggregates db program
   else begin
-    let pool = pool_for ?pool ndomains in
+    let pool = pool_for ndomains in
     let reg = match metrics with Some m -> m | None -> Metrics.default () in
     let obs = make_obs reg program in
     List.iter check_rule_safety program.rules;

@@ -170,7 +170,6 @@ val run :
   ?naive:bool ->
   ?metrics:Xcw_obs.Metrics.t ->
   ?ndomains:int ->
-  ?pool:Xcw_par.Pool.t ->
   ?aggregates:aggregate list ->
   db ->
   program ->
@@ -194,13 +193,6 @@ val run :
     relation iteration order (and [iterations]) may differ from
     sequential.  Raises [Invalid_argument] if [ndomains < 1].
 
-    [pool] overrides [ndomains] with an explicit pool to evaluate on —
-    a pool shared with other subsystems, or a
-    {!Xcw_par.Pool.sequential} modeling pool that partitions as its
-    declared domain count but executes inline (how the parallel bench
-    obtains clean per-task times on hosts with fewer cores than
-    domains).  A 1-domain [pool] falls back to the sequential path.
-
     Evaluation records into [metrics] (default: the process-wide
     registry): per-rule wall time in the [xcw_datalog_rule_seconds]
     histogram (labelled [rule="NN:pred"], [NN] the rule's position in
@@ -215,7 +207,6 @@ val run :
 val run_incremental :
   ?metrics:Xcw_obs.Metrics.t ->
   ?ndomains:int ->
-  ?pool:Xcw_par.Pool.t ->
   ?aggregates:aggregate list ->
   db ->
   program ->
@@ -234,9 +225,8 @@ val run_incremental :
     program must be the same across calls on a given [db]; the first
     call behaves as {!run}.  Steady-state cost is proportional to the
     delta and the affected strata, not to the database size.
-    [ndomains] (and the [pool] override) parallelizes the semi-naive
-    and recompute passes exactly as in {!run}, with the same
-    determinism guarantees.
+    [ndomains] parallelizes the semi-naive and recompute passes exactly
+    as in {!run}, with the same determinism guarantees.
 
     Beyond the {!run} instruments, incremental runs record the
     journaled delta size ([xcw_datalog_delta_tuples]), how each stratum

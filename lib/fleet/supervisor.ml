@@ -258,7 +258,7 @@ let apply_fleet t payload =
   Bus.restore t.s_bus ~live ~emitted ~collapsed;
   t.s_replay <- CR.list r (fun () -> get_fleet_alert r)
 
-let create ?(ndomains = 1) ?pool ?(breaker = default_breaker)
+let create ?(ndomains = 1) ?(breaker = default_breaker)
     ?dedup_window ?(poll_budget = max_int) ?metrics ?state_dir ?crash
     ?(snapshot_every = 8) specs =
   if specs = [] then invalid_arg "Supervisor.create: no lanes";
@@ -269,11 +269,8 @@ let create ?(ndomains = 1) ?pool ?(breaker = default_breaker)
   let names = List.map (fun s -> s.l_name) specs in
   if List.length (List.sort_uniq compare names) <> List.length names then
     invalid_arg "Supervisor.create: duplicate lane names";
-  let effective =
-    match pool with Some p -> Pool.ndomains p | None -> ndomains
-  in
   if
-    effective > 1
+    ndomains > 1
     && List.exists (fun s -> s.l_input.Detector.i_ndomains > 1) specs
   then
     invalid_arg
@@ -328,10 +325,7 @@ let create ?(ndomains = 1) ?pool ?(breaker = default_breaker)
   let t =
     {
       s_lanes = Array.of_list (List.mapi lane specs);
-      s_pool =
-        (match pool with
-        | Some p -> Some p
-        | None -> if ndomains > 1 then Some (Pool.get ~ndomains) else None);
+      s_pool = (if ndomains > 1 then Some (Pool.get ~ndomains) else None);
       s_breaker = breaker;
       s_budget = poll_budget;
       s_bus = Bus.create ?window:dedup_window ~metrics ();

@@ -94,7 +94,6 @@ type t
 
 val create :
   ?ndomains:int ->
-  ?pool:Xcw_par.Pool.t ->
   ?breaker:breaker ->
   ?dedup_window:int ->
   ?poll_budget:int ->
@@ -105,13 +104,13 @@ val create :
   lane_spec list ->
   t
 (** [ndomains] (default 1) is the fleet-level worker count; lane polls
-    of one round fan out over {!Xcw_par.Pool.get}[ ~ndomains] (or the
-    explicit [pool]).  Raises [Invalid_argument] if the lane list is
-    empty, lane names collide, or fleet-level parallelism is combined
-    with lanes that themselves request [i_ndomains > 1] — the domain
-    pools do not nest; pick one level.  [poll_budget] (default
-    unbounded) caps per-side cursor advancement per round.
-    [dedup_window] is forwarded to {!Bus.create}.
+    of one round fan out over {!Xcw_par.Pool.get}[ ~ndomains].  Raises
+    [Invalid_argument] if the lane list is empty, lane names collide,
+    or fleet-level parallelism is combined with lanes that themselves
+    request [i_ndomains > 1] — the domain pools do not nest; pick one
+    level.  [poll_budget] (default unbounded) caps per-side cursor
+    advancement per round.  [dedup_window] is forwarded to
+    {!Bus.create}.
 
     Fleet instruments recorded into [metrics] (default
     {!Metrics.default}): per-lane [xcw_fleet_poll_seconds{bridge}]

@@ -28,9 +28,6 @@ type batch = {
 
 type t = {
   p_ndomains : int;
-  p_inline : bool;
-      (* execute batches on the submitting domain regardless of
-         [p_ndomains] — the modeling mode behind [sequential] *)
   p_mu : Mutex.t;
   p_work : Condition.t;
   p_donec : Condition.t;
@@ -38,21 +35,9 @@ type t = {
   mutable p_batch : batch option;
   mutable p_shutdown : bool;
   mutable p_workers : unit Domain.t list;
-  (* cumulative stats, guarded by [p_mu] *)
-  mutable p_batches : int;
-  mutable p_tasks : int;
-  mutable p_busy : float;
-  mutable p_modeled : float;
   (* interned once at [create]; updated by the submitting domain only *)
   p_m_tasks : Metrics.Counter.t;
   p_m_batch : Metrics.Histogram.t;
-}
-
-type stats = {
-  st_batches : int;
-  st_tasks : int;
-  st_busy : float;
-  st_modeled_wall : float;
 }
 
 let ndomains t = t.p_ndomains
@@ -91,14 +76,13 @@ let rec worker t seen =
     worker t gen
   end
 
-let create_pool ~ndomains ~inline =
+let create ~ndomains =
   if ndomains < 1 then invalid_arg "Pool.create: ndomains must be >= 1";
   let reg = Metrics.default () in
   let labels = [ ("ndomains", string_of_int ndomains) ] in
   let t =
     {
       p_ndomains = ndomains;
-      p_inline = inline;
       p_mu = Mutex.create ();
       p_work = Condition.create ();
       p_donec = Condition.create ();
@@ -106,48 +90,13 @@ let create_pool ~ndomains ~inline =
       p_batch = None;
       p_shutdown = false;
       p_workers = [];
-      p_batches = 0;
-      p_tasks = 0;
-      p_busy = 0.;
-      p_modeled = 0.;
       p_m_tasks = Metrics.counter reg ~labels "xcw_par_tasks_total";
       p_m_batch = Metrics.histogram reg ~labels "xcw_par_batch_tasks";
     }
   in
-  if not inline then
-    t.p_workers <-
-      List.init (ndomains - 1) (fun _ -> Domain.spawn (fun () -> worker t 0));
+  t.p_workers <-
+    List.init (ndomains - 1) (fun _ -> Domain.spawn (fun () -> worker t 0));
   t
-
-let create ~ndomains = create_pool ~ndomains ~inline:false
-let sequential ~ndomains = create_pool ~ndomains ~inline:true
-
-(* Greedy least-loaded assignment of the measured task times, in
-   submission order — what the dynamic claiming above converges to on a
-   machine that actually has [k] free cores. *)
-let makespan ~k times =
-  let loads = Array.make k 0.0 in
-  Array.iter
-    (fun d ->
-      let mi = ref 0 in
-      for j = 1 to k - 1 do
-        if loads.(j) < loads.(!mi) then mi := j
-      done;
-      loads.(!mi) <- loads.(!mi) +. d)
-    times;
-  Array.fold_left max 0.0 loads
-
-let record t times n =
-  let busy = Array.fold_left ( +. ) 0.0 times in
-  let modeled = makespan ~k:t.p_ndomains times in
-  Mutex.lock t.p_mu;
-  t.p_batches <- t.p_batches + 1;
-  t.p_tasks <- t.p_tasks + n;
-  t.p_busy <- t.p_busy +. busy;
-  t.p_modeled <- t.p_modeled +. modeled;
-  Mutex.unlock t.p_mu;
-  Metrics.Counter.add t.p_m_tasks n;
-  Metrics.Histogram.observe t.p_m_batch (float_of_int n)
 
 let run : type a. t -> (unit -> a) list -> a list =
  fun t fs ->
@@ -158,14 +107,10 @@ let run : type a. t -> (unit -> a) list -> a list =
       let n = Array.length tasks in
       let results : a option array = Array.make n None in
       let errors : exn option array = Array.make n None in
-      let times = Array.make n 0.0 in
       let exec i =
-        let t0 = Unix.gettimeofday () in
-        (try results.(i) <- Some (tasks.(i) ())
-         with e -> errors.(i) <- Some e);
-        times.(i) <- Unix.gettimeofday () -. t0
+        try results.(i) <- Some (tasks.(i) ()) with e -> errors.(i) <- Some e
       in
-      if t.p_ndomains = 1 || t.p_inline then
+      if t.p_ndomains = 1 then
         for i = 0 to n - 1 do
           exec i
         done
@@ -190,7 +135,8 @@ let run : type a. t -> (unit -> a) list -> a list =
         t.p_batch <- None;
         Mutex.unlock t.p_mu
       end;
-      record t times n;
+      Metrics.Counter.add t.p_m_tasks n;
+      Metrics.Histogram.observe t.p_m_batch (float_of_int n);
       Array.iter (function Some e -> raise e | None -> ()) errors;
       List.init n (fun i ->
           match results.(i) with
@@ -205,27 +151,6 @@ let shutdown t =
   t.p_workers <- [];
   Mutex.unlock t.p_mu;
   List.iter Domain.join workers
-
-let stats t =
-  Mutex.lock t.p_mu;
-  let s =
-    {
-      st_batches = t.p_batches;
-      st_tasks = t.p_tasks;
-      st_busy = t.p_busy;
-      st_modeled_wall = t.p_modeled;
-    }
-  in
-  Mutex.unlock t.p_mu;
-  s
-
-let reset_stats t =
-  Mutex.lock t.p_mu;
-  t.p_batches <- 0;
-  t.p_tasks <- 0;
-  t.p_busy <- 0.;
-  t.p_modeled <- 0.;
-  Mutex.unlock t.p_mu
 
 (* Process-wide interned pools, one per worker count. *)
 let interned : (int, t) Hashtbl.t = Hashtbl.create 4

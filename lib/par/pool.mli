@@ -18,10 +18,10 @@
     and [run] degenerates to [List.map (fun f -> f ())] on the calling
     domain, preserving bit-identical sequential behaviour.
 
-    Per-batch task durations feed cumulative {!stats}; on hosts with
-    fewer cores than domains the [st_modeled_wall] figure is what an
-    unconstrained [ndomains]-core run of the same batches would cost
-    (greedy least-loaded assignment of the measured task times). *)
+    Every batch records into the default {!Xcw_obs.Metrics} registry
+    current at [create] (labelled [ndomains]): its task count into the
+    [xcw_par_tasks_total] counter and one [xcw_par_batch_tasks]
+    histogram observation. *)
 
 type t
 
@@ -30,17 +30,6 @@ val create : ndomains:int -> t
     Raises [Invalid_argument] if [ndomains < 1]. *)
 
 val ndomains : t -> int
-
-val sequential : ndomains:int -> t
-(** A modeling pool: it reports [ndomains] (so consumers partition work
-    into [ndomains]-way batches and {!stats} computes the
-    [st_modeled_wall] makespan for [ndomains] cores) but never spawns a
-    domain — every batch executes inline on the submitter.  On hosts
-    with fewer cores than domains this is the honest way to measure
-    what a real [ndomains]-core run would cost: per-task times are
-    taken with the core to themselves, free of the time-sharing and
-    stop-the-world GC noise that pollutes task timings when
-    [ndomains] mutator domains contend for one core. *)
 
 val run : t -> (unit -> 'a) list -> 'a list
 (** Execute a batch; results in submission order.  Re-raises the
@@ -56,18 +45,3 @@ val get : ndomains:int -> t
 (** Interned process-wide pools, one per [ndomains], created on first
     use and never shut down — the cheap way for the engine, decoder and
     monitor to share workers instead of each spawning their own. *)
-
-type stats = {
-  st_batches : int;  (** batches run (including inline 1-domain ones) *)
-  st_tasks : int;  (** total tasks executed *)
-  st_busy : float;  (** summed per-task execution time, seconds *)
-  st_modeled_wall : float;
-      (** what the same batches would cost wall-clock on [ndomains]
-          unconstrained cores: per batch, the makespan of assigning the
-          measured task times to the least-loaded worker in submission
-          order, summed over batches.  Equals [st_busy] when
-          [ndomains = 1]. *)
-}
-
-val stats : t -> stats
-val reset_stats : t -> unit

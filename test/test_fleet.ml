@@ -339,6 +339,30 @@ let preset_lanes () =
        setting. *)
     Presets.lane ~rounds_to_sync:3 ~name:"attack-b"
       (Presets.Attack Report.Forged_proof);
+    (* Two of three endpoints lie: past the f < k Byzantine threshold
+       the quorum cannot protect this lane (agreeing lies outvote the
+       honest node), but the damage must stay inside its own stream. *)
+    Presets.lane ~seed:9 ~rounds_to_sync:3 ~name:"generic-byzantine"
+      ~tweak:(fun input ->
+        let efs = [ None; Some Fault.byzantine; Some Fault.byzantine ] in
+        {
+          input with
+          Detector.i_rpc_seed = 101;
+          i_endpoints = 3;
+          i_quorum = 2;
+          i_source_endpoint_faults = efs;
+          i_target_endpoint_faults = efs;
+        })
+      (Presets.Generic_kind Xcw_workload.Generic.default_spec);
+    Presets.lane ~scale:0.004 ~rounds_to_sync:3 ~name:"nomad-moderate"
+      ~tweak:(fun input ->
+        {
+          input with
+          Detector.i_rpc_seed = 202;
+          i_source_fault = Some Fault.moderate;
+          i_target_fault = Some Fault.moderate;
+        })
+      Presets.Nomad;
   ]
 
 let determinism_jobs =
@@ -348,18 +372,27 @@ let determinism_jobs =
       let run ~ndomains =
         let sup = Sup.create ~ndomains (preset_lanes ()) in
         ignore (Sup.run sup ~rounds:5);
-        fleet_signature sup
+        (fleet_signature sup, sup)
       in
-      let s1 = run ~ndomains:1 in
-      Alcotest.(check string) "jobs 2 = jobs 1" s1 (run ~ndomains:2);
-      Alcotest.(check string) "jobs 4 = jobs 1" s1 (run ~ndomains:4);
+      let s1, sup = run ~ndomains:1 in
+      Alcotest.(check string) "jobs 2 = jobs 1" s1 (fst (run ~ndomains:2));
+      Alcotest.(check string) "jobs 4 = jobs 1" s1 (fst (run ~ndomains:4));
       Alcotest.(check string) "same-seed rerun identical" s1
-        (run ~ndomains:1);
+        (fst (run ~ndomains:1));
       (* The mirrored attack lane really collapsed on the bus. *)
-      let sup = Sup.create (preset_lanes ()) in
-      ignore (Sup.run sup ~rounds:5);
       Alcotest.(check bool) "mirror lane collapsed on the bus" true
-        ((Sup.health sup).Sup.fh_collapsed > 0))
+        ((Sup.health sup).Sup.fh_collapsed > 0);
+      (* Isolation: every lane, faulted and lied-to ones included,
+         streams exactly what a single-lane supervisor of it streams. *)
+      List.iteri
+        (fun i lane ->
+          let solo = Sup.create [ lane ] in
+          ignore (Sup.run solo ~rounds:5);
+          Alcotest.(check string)
+            (Printf.sprintf "lane %s = its solo run" lane.Sup.l_name)
+            (render_stream (Sup.lane_alerts solo 0))
+            (render_stream (Sup.lane_alerts sup i)))
+        (preset_lanes ()))
 
 let prop_determinism =
   QCheck.Test.make ~count:(T.qcount 10)

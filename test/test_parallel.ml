@@ -246,35 +246,41 @@ let pool_empty_batch =
 let pool_reusable =
   Alcotest.test_case "pool reusable across batches; stats accumulate" `Quick
     (fun () ->
-      let p = Pool.create ~ndomains:2 in
-      Pool.reset_stats p;
+      (* The pool interns its series in the default registry current at
+         [create]; a fresh one isolates this pool's counts. *)
+      let saved = Metrics.default () in
+      let reg = Metrics.create () in
+      Metrics.set_default reg;
+      let p =
+        Fun.protect
+          ~finally:(fun () -> Metrics.set_default saved)
+          (fun () -> Pool.create ~ndomains:2)
+      in
       for round = 1 to 3 do
         Alcotest.(check (list int))
           (Printf.sprintf "round %d" round)
           (List.init 5 (fun i -> i + round))
           (Pool.run p (List.init 5 (fun i () -> i + round)))
       done;
-      let s = Pool.stats p in
-      Alcotest.(check int) "batches" 3 s.Pool.st_batches;
-      Alcotest.(check int) "tasks" 15 s.Pool.st_tasks;
+      let labels = [ ("ndomains", "2") ] in
+      Alcotest.(check int) "batches" 3
+        (Metrics.Histogram.count
+           (Metrics.histogram reg ~labels "xcw_par_batch_tasks"));
+      Alcotest.(check int) "tasks" 15
+        (Metrics.Counter.value
+           (Metrics.counter reg ~labels "xcw_par_tasks_total"));
       Pool.shutdown p)
 
 let pool_one_domain_never_spawns =
-  Alcotest.test_case "ndomains:1 (and sequential pools) never spawn" `Quick
-    (fun () ->
+  Alcotest.test_case "ndomains:1 never spawns" `Quick (fun () ->
       let self = Domain.self () in
-      let check_inline p =
-        let doms = Pool.run p (List.init 16 (fun _ () -> Domain.self ())) in
-        List.iter
-          (fun d ->
-            if d <> self then Alcotest.fail "task ran on a spawned domain")
-          doms
+      let doms =
+        Pool.run (Pool.create ~ndomains:1)
+          (List.init 16 (fun _ () -> Domain.self ()))
       in
-      check_inline (Pool.create ~ndomains:1);
-      (* The modeling pool reports 4 domains but must execute inline. *)
-      let m = Pool.sequential ~ndomains:4 in
-      Alcotest.(check int) "modeling pool reports its k" 4 (Pool.ndomains m);
-      check_inline m)
+      List.iter
+        (fun d -> if d <> self then Alcotest.fail "task ran on a spawned domain")
+        doms)
 
 let pool_shutdown_rejects_work =
   Alcotest.test_case "run on a shut-down pool raises" `Quick (fun () ->

@@ -10,14 +10,13 @@
 # plus the twin-differential generator properties), the exit-bridge
 # accounting net (Merkle proof-mutation properties plus its own class
 # x fault/quorum x jobs cross-product), and the fleet suite
-# (bus dedup, breaker lifecycle, solo-vs-fleet isolation differential,
-# --jobs determinism over random traffic), each at XCW_STRESS x their
-# default qcheck case counts (default 10x) — plus the full-matrix fleet
-# bench (4/8/16 bridges x clean/moderate/mixed fault plans via
-# XCW_FLEET_FULL=1) and, via the @crash alias, the exhaustive
-# durable-store crash sweep (XCW_CRASH_FULL=1: every WAL/snapshot write
-# point of a 3-lane fleet, restarted stream asserted byte-identical to
-# the uninterrupted run).
+# (bus dedup, breaker lifecycle, solo-vs-fleet isolation differential
+# over clean, moderate-fault and 2-of-3-liars quorum lanes, --jobs
+# determinism over random traffic), each at XCW_STRESS x their default
+# qcheck case counts (default 10x) — plus, via the @crash alias, the
+# exhaustive durable-store crash sweep (XCW_CRASH_FULL=1: every
+# WAL/snapshot write point of a 3-lane fleet, restarted stream asserted
+# byte-identical to the uninterrupted run).
 #
 # Equivalent to `dune build @stress`; this wrapper exists so the knob is
 # discoverable and overridable:
