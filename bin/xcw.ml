@@ -472,9 +472,31 @@ let state_dir_arg =
            the crash boundary are re-delivered once on startup \
            (dedupable by their sequence number).")
 
+(* A state directory the OS refuses — a path through a regular file,
+   say — is a usage error naming the flag, not an uncaught exception
+   from deep inside the store. *)
+let opening_state_dir state_dir f =
+  match state_dir with
+  | None -> f ()
+  | Some dir -> (
+      let fail msg =
+        Format.eprintf "xcw: --state-dir %s: %s@." dir msg;
+        exit 2
+      in
+      try f () with
+      | Unix.Unix_error (e, fn, arg) ->
+          fail (Printf.sprintf "%s (%s %s)" (Unix.error_message e) fn arg)
+      | Sys_error msg -> fail msg)
+
 let monitor_cmd =
   let run kind scale seed interval_hours endpoints quorum byzantine jobs
       state_dir metrics_file trace_file =
+    (* The replay loop advances by the interval: a non-positive one
+       would never reach the window's end. *)
+    if interval_hours < 1 then begin
+      Format.eprintf "xcw: --interval %d must be at least 1@." interval_hours;
+      exit 2
+    end;
     let built, plugin = build_scenario kind scale seed in
     let module Monitor = Xcw_core.Monitor in
     let module Chain = Xcw_chain.Chain in
@@ -496,7 +518,8 @@ let monitor_cmd =
     let input = apply_quorum input endpoints quorum byzantine in
     let input = apply_jobs input jobs in
     let ckpt =
-      Option.map (fun dir -> Monitor.Checkpoint.open_ ~dir ()) state_dir
+      opening_state_dir state_dir (fun () ->
+          Option.map (fun dir -> Monitor.Checkpoint.open_ ~dir ()) state_dir)
     in
     let mon = Monitor.create ?checkpoint:ckpt input in
     (match Monitor.replayed mon with
@@ -675,8 +698,9 @@ let fleet_cmd =
         kinds
     in
     let sup =
-      Supervisor.create ~ndomains:jobs ~dedup_window:window
-        ?poll_budget:budget ?state_dir lanes
+      opening_state_dir state_dir (fun () ->
+          Supervisor.create ~ndomains:jobs ~dedup_window:window
+            ?poll_budget:budget ?state_dir lanes)
     in
     Format.printf "fleet of %d bridge lane(s), %d round(s), --jobs %d@." n
       rounds jobs;

@@ -24,8 +24,11 @@
     negation strata that [run_incremental] recomputes from scratch (8
     per Nomad stream poll), the anomaly-row scan (each anomaly relation
     is read and sorted whole), and, with a checkpoint, every
-    [snapshot_every]-th poll's snapshot of all entries and derived
-    relations.  [create ~incremental:false] keeps the original
+    [snapshot_every]-th poll's snapshot.  A snapshot re-encodes no
+    entry (each is encoded once, when first written, and its bytes are
+    kept; see {!put_entry}) and builds no copy of its payload, but it
+    still writes the bytes of every entry and every derived tuple, CRCs
+    them and fsyncs them.  [create ~incremental:false] keeps the original
     rebuild-everything behaviour for comparison (see the
     [monitor_steady_state] bench).
 
@@ -228,6 +231,10 @@ type entry = {
   e_facts : Facts.t list;
   e_errors : Decoder.decode_error list;
   e_trace_gap : bool;
+  mutable e_enc : string option;
+      (** the entry's checkpoint encoding, index included; made by the
+          first WAL record or snapshot that writes it (see
+          {!put_entry}) *)
 }
 
 type side = {
@@ -341,10 +348,11 @@ let make_obs reg =
     mo_facts = Metrics.gauge reg "xcw_monitor_facts_cached";
   }
 
-let sorted_entries s =
+let indexed_entries s =
   Hashtbl.fold (fun i e acc -> (i, e) :: acc) s.sd_entries []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map snd
+
+let sorted_entries s = List.map snd (indexed_entries s)
 
 let remove_entry s i =
   match Hashtbl.find_opt s.sd_entries i with
@@ -385,11 +393,12 @@ let facts_cached t = t.m_src.sd_facts + t.m_dst.sd_facts
 (* WAL record layout (one per poll), after the symbol section:
    polls, reorgs, last_error, seq, then per side (source first)
    the requested cursor + removed entry indices + added entries, then
-   the alerts emitted by the poll.  Snapshots reuse the same side
-   codec with removed = [] and added = every entry, and add the
-   already-alerted key set.  Fact tuples go through the store-local
-   {!Xcw_store.Symmap} so persisted cells re-pack identically no
-   matter what the process intern table looks like after restart. *)
+   the alerts emitted by the poll.  Snapshots reuse the same layout
+   with removed = [] and added = every entry, add the already-alerted
+   key set, and end with the derived tuples.  Fact tuples go through
+   the store-local {!Xcw_store.Symmap} so persisted cells re-pack
+   identically no matter what the process intern table looks like
+   after restart. *)
 
 module CW = Xcw_store.Codec.W
 module CR = Xcw_store.Codec.R
@@ -437,12 +446,28 @@ let get_error r =
   { Decoder.err_tx_hash; err_chain_id; err_event_index; err_detail;
     err_withdrawal_id }
 
-let put_entry sym b (i, e) =
-  CW.int b i;
-  CW.int b e.e_block;
-  CW.list b (put_fact sym b) e.e_facts;
-  CW.list b (put_error b) e.e_errors;
-  CW.bool b e.e_trace_gap
+(* An entry is encoded once, by the first WAL record or snapshot that
+   writes it; later writes append the cached bytes.  They stay valid
+   because a store assigns each symbol id once and never renumbers it
+   (recovery re-registers the ids in the same order), and writers visit
+   entries in the order re-encoding would, so no id is assigned in a
+   different order either.  A reorg that drops the entry drops its
+   bytes with it. *)
+let put_entry sym b i e =
+  match e.e_enc with
+  | Some enc -> Buffer.add_string b enc
+  | None ->
+      let start = Buffer.length b in
+      CW.int b i;
+      CW.int b e.e_block;
+      CW.list b (put_fact sym b) e.e_facts;
+      CW.list b (put_error b) e.e_errors;
+      CW.bool b e.e_trace_gap;
+      e.e_enc <- Some (Buffer.sub b start (Buffer.length b - start))
+
+let entry_bytes sym i e =
+  if Option.is_none e.e_enc then put_entry sym (CW.create ()) i e;
+  Option.get e.e_enc
 
 let get_entry sym r =
   let i = CR.int r in
@@ -450,12 +475,13 @@ let get_entry sym r =
   let e_facts = CR.list r (fun () -> get_fact sym r) in
   let e_errors = CR.list r (fun () -> get_error r) in
   let e_trace_gap = CR.bool r in
-  (i, { e_block; e_facts; e_errors; e_trace_gap })
+  (i, { e_block; e_facts; e_errors; e_trace_gap; e_enc = None })
 
-let put_side sym b s ~removed ~added =
+(* A side's fields up to its added entries, which follow it. *)
+let put_side_head b s ~removed ~added =
   CW.int b s.sd_requested;
   CW.list b (CW.int b) removed;
-  CW.list b (put_entry sym b) added
+  CW.int b added
 
 let apply_side sym r s =
   s.sd_requested <- CR.int r;
@@ -465,27 +491,11 @@ let apply_side sym r s =
   List.iter (fun (i, e) -> add_entry s i e) added;
   (List.length removed, added)
 
-(* Shared core of WAL records and snapshots; [known] distinguishes
-   them (a record's m_known additions are exactly its alerts). *)
-let put_state t ck b ~src ~dst ~alerts ~known =
+let put_head t b =
   CW.int b t.m_polls;
   CW.int b t.m_reorgs;
   CW.opt_str b t.m_last_error;
-  CW.int b t.m_seq;
-  let src_removed, src_added = src and dst_removed, dst_added = dst in
-  put_side ck.Checkpoint.ck_sym b t.m_src ~removed:src_removed ~added:src_added;
-  put_side ck.Checkpoint.ck_sym b t.m_dst ~removed:dst_removed ~added:dst_added;
-  CW.list b (Checkpoint.put_alert b) alerts;
-  match known with
-  | None -> CW.bool b false
-  | Some keys ->
-      CW.bool b true;
-      CW.list b
-        (fun (ru, cl, tx) ->
-          CW.str b ru;
-          CW.str b cl;
-          CW.str b tx)
-        keys
+  CW.int b t.m_seq
 
 (* Returns the record's rewind-removal count and added entries (source
    first, record order) so recovery can replay the WAL tail as an
@@ -520,16 +530,12 @@ let apply_state t ck r =
            (ru, cl, tx)));
   (src_removed + dst_removed, src_added @ dst_added)
 
-(* Frame a payload: the strings newly assigned to store ids while
-   encoding the body must precede the body, so the decoder can bind
-   them before the first cell that uses them. *)
-let with_symbols ck ~all body =
-  let sym = ck.Checkpoint.ck_sym in
-  let syms = if all then Symmap.dump sym else Symmap.take_fresh sym in
-  if all then ignore (Symmap.take_fresh sym);
+(* The symbol section that opens a payload: the strings given store ids
+   while encoding the body, so the decoder can bind them before the
+   first cell that uses them. *)
+let symbol_section syms =
   let b = CW.create () in
   CW.list b (CW.str b) syms;
-  Buffer.add_buffer b body;
   Buffer.contents b
 
 (* Snapshots additionally persist the engine-derived tuples, so
@@ -566,22 +572,49 @@ let get_derived sym r =
       (pred, CR.list r (fun () -> get_tuple sym r)))
 
 let encode_record t ck ~src ~dst ~alerts =
+  let sym = ck.Checkpoint.ck_sym in
   let body = CW.create () in
-  put_state t ck body ~src ~dst ~alerts ~known:None;
-  with_symbols ck ~all:false body
+  put_head t body;
+  List.iter
+    (fun (s, (removed, added)) ->
+      put_side_head body s ~removed ~added:(List.length added);
+      List.iter (fun (i, e) -> put_entry sym body i e) added)
+    [ (t.m_src, src); (t.m_dst, dst) ];
+  CW.list body (Checkpoint.put_alert body) alerts;
+  (* No key set: a record's already-alerted keys are its alerts. *)
+  CW.bool body false;
+  symbol_section (Symmap.take_fresh sym) ^ Buffer.contents body
 
+(* The snapshot payload as pieces for {!Xcw_store.Store.snapshot}: the
+   whole symbol table, the state head, each side's head and its
+   entries' cached bytes in index order, then the alerts, the
+   already-alerted key set and the derived tuples. *)
 let encode_snapshot t ck =
-  let body = CW.create () in
-  let full s =
-    ( [],
-      Hashtbl.fold (fun i e acc -> (i, e) :: acc) s.sd_entries []
-      |> List.sort (fun (a, _) (b, _) -> compare a b) )
+  let sym = ck.Checkpoint.ck_sym in
+  let side s =
+    let entries = indexed_entries s in
+    let b = CW.create () in
+    put_side_head b s ~removed:[] ~added:(List.length entries);
+    Buffer.contents b :: List.map (fun (i, e) -> entry_bytes sym i e) entries
   in
-  let known = Hashtbl.fold (fun k () acc -> k :: acc) t.m_known [] in
-  put_state t ck body ~src:(full t.m_src) ~dst:(full t.m_dst)
-    ~alerts:t.m_replay ~known:(Some (List.sort compare known));
-  put_derived ck.Checkpoint.ck_sym body t.m_db;
-  with_symbols ck ~all:true body
+  let head = CW.create () in
+  put_head t head;
+  let src = side t.m_src in
+  let dst = side t.m_dst in
+  let tail = CW.create () in
+  CW.list tail (Checkpoint.put_alert tail) t.m_replay;
+  CW.bool tail true;
+  CW.list tail
+    (fun (ru, cl, tx) ->
+      CW.str tail ru;
+      CW.str tail cl;
+      CW.str tail tx)
+    (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.m_known []));
+  put_derived sym tail t.m_db;
+  (* The full table below covers every id the body just assigned. *)
+  ignore (Symmap.take_fresh sym);
+  (symbol_section (Symmap.dump sym) :: Buffer.contents head :: src)
+  @ dst @ [ Buffer.contents tail ]
 
 (* Returns the applied record's (rewind removals, added-entry facts)
    plus the reader, positioned after the state body so snapshot
@@ -771,6 +804,7 @@ let poll_side t s ~up_to_block =
                            e_facts = rd.Decoder.rd_facts;
                            e_errors = rd.Decoder.rd_errors;
                            e_trace_gap = rd.Decoder.rd_trace_gap;
+                           e_enc = None;
                          }
                        in
                        add_entry s i entry;

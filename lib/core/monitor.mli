@@ -17,7 +17,9 @@
     What a poll still pays per unit of history: the negation strata
     the engine recomputes from scratch (8 per Nomad stream poll), the
     anomaly-row scan, and, with a {!Checkpoint}, the periodic snapshot
-    of the whole state.  [create ~incremental:false] restores the
+    of the whole state — not its encoding (each decoded entry is
+    encoded once, when first written, and kept), but its bytes, their
+    CRC and one fsync.  [create ~incremental:false] restores the
     from-scratch rebuild per poll, for differential testing and
     benchmarking.
 

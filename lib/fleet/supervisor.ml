@@ -569,7 +569,7 @@ let poll t : Bus.fleet_alert list =
             let payload = encode_fleet t ~replay:emitted in
             ignore (Xcw_store.Store.append store payload);
             if t.s_snapshot_every > 0 && round mod t.s_snapshot_every = 0
-            then Xcw_store.Store.snapshot store payload);
+            then Xcw_store.Store.snapshot store [ payload ]);
         emitted)
   in
   if live then begin

@@ -1,26 +1,61 @@
-let crc_table =
+(* Slicing-by-8 tables over native ints: [tables.(k * 256 + b)] is the
+   CRC register after byte [b] followed by [k] zero bytes, so one step
+   folds 8 input bytes with 8 independent lookups. *)
+let tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+    (let t = Array.make 2048 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for i = 256 to 2047 do
+       let prev = t.(i - 256) in
+       t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+     done;
+     t)
+
+(* Advance the (pre-inverted) CRC register [c] over [s.[off, off+len)]:
+   8 bytes per step as two little-endian words, then byte by byte. *)
+let update t c s off len =
+  let word p = Int32.to_int (String.get_int32_le s p) land 0xFFFFFFFF in
+  let c = ref c and p = ref off in
+  let stop = off + len in
+  while !p + 8 <= stop do
+    let x = !c lxor word !p and y = word (!p + 4) in
+    c :=
+      Array.unsafe_get t (1792 lor (x land 0xFF))
+      lxor Array.unsafe_get t (1536 lor ((x lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (1280 lor ((x lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (1024 lor (x lsr 24))
+      lxor Array.unsafe_get t (768 lor (y land 0xFF))
+      lxor Array.unsafe_get t (512 lor ((y lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 lor ((y lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (y lsr 24);
+    p := !p + 8
+  done;
+  for i = !p to stop - 1 do
+    c :=
+      Array.unsafe_get t ((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c
+
+let finish c = Int32.of_int (c lxor 0xFFFFFFFF)
 
 let crc32 ?(off = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - off in
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = off to off + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
-    in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
-  done;
-  Int32.logxor !c 0xFFFFFFFFl
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Codec.crc32";
+  finish (update (Lazy.force tables) 0xFFFFFFFF s off len)
+
+let crc32_pieces pieces =
+  let t = Lazy.force tables in
+  finish
+    (List.fold_left
+       (fun c s -> update t c s 0 (String.length s))
+       0xFFFFFFFF pieces)
 
 module W = struct
   type t = Buffer.t

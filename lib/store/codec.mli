@@ -1,12 +1,18 @@
 (** Binary (de)serialization helpers for the durable store.
 
     All integers are little-endian 64-bit; strings are length-prefixed.
-    The framing layer (see {!Wal}/{!Snapshot}) protects every payload
-    with a CRC-32, so a [Corrupt] raised here after a successful CRC
-    check indicates a format/version bug, not disk damage. *)
+    The framing layer ({!Store}) protects every payload with a CRC-32,
+    so a [Corrupt] raised here after a successful CRC check indicates a
+    format/version bug, not disk damage. *)
 
 val crc32 : ?off:int -> ?len:int -> string -> int32
-(** IEEE 802.3 CRC-32 of a substring (whole string by default). *)
+(** IEEE 802.3 CRC-32 of a substring (whole string by default),
+    slicing-by-8 over native ints.  Raises [Invalid_argument] when
+    [off]/[len] do not name a substring of [s]. *)
+
+val crc32_pieces : string list -> int32
+(** [crc32_pieces ps = crc32 (String.concat "" ps)], without building
+    the concatenation. *)
 
 (** Append-only writer over a [Buffer.t]. *)
 module W : sig

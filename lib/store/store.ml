@@ -147,32 +147,40 @@ let append t payload =
   t.t_appended <- t.t_appended + n;
   index
 
-let write_file_synced path content =
+(* Write the first [limit] bytes (default: all) of the concatenated
+   [pieces] to [path], then fsync. *)
+let write_file_synced ?(limit = max_int) path pieces =
   let oc =
     open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 path
   in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc content;
+      ignore
+        (List.fold_left
+           (fun room p ->
+             let n = min room (String.length p) in
+             output_substring oc p 0 n;
+             room - n)
+           limit pieces);
       flush oc;
       try Unix.fsync (Unix.descr_of_out_channel oc)
       with Unix.Unix_error _ -> ())
 
-let snapshot t payload =
+let snapshot t pieces =
   assert (not t.t_closed);
   let last = t.t_next - 1 in
-  let b = Buffer.create (String.length payload + 32) in
+  let len = List.fold_left (fun acc p -> acc + String.length p) 0 pieces in
+  let b = Buffer.create (String.length snap_magic + header_len) in
   Buffer.add_string b snap_magic;
   Buffer.add_int64_le b (Int64.of_int last);
-  Buffer.add_int64_le b (Int64.of_int (String.length payload));
-  Buffer.add_int32_le b (Codec.crc32 payload);
-  Buffer.add_string b payload;
-  let content = Buffer.contents b in
+  Buffer.add_int64_le b (Int64.of_int len);
+  Buffer.add_int32_le b (Codec.crc32_pieces pieces);
+  let content = Buffer.contents b :: pieces in
   let tmp = t.t_snap ^ ".tmp" in
   Crash_plan.step t.t_crash Crash_plan.Snap_torn_temp ~partial:(fun () ->
-      let n = String.length content in
-      write_file_synced tmp (String.sub content 0 (max 1 (n / 2))));
+      let n = Buffer.length b + len in
+      write_file_synced ~limit:(max 1 (n / 2)) tmp content);
   write_file_synced tmp content;
   Crash_plan.step t.t_crash Crash_plan.Snap_pre_rename ~partial:ignore;
   Sys.rename tmp t.t_snap;

@@ -2,12 +2,13 @@
 
     A store is a directory holding [wal.log] (append-only records, each
     framed as [len:u64][index:u64][crc32:u32][payload]) and
-    [snapshot.bin] ([XCWSNAP1] magic, last covered record index, CRC,
-    payload).  Records carry monotone indices; a snapshot commits via
-    write-temp + fsync + rename and records the highest index it
-    covers, so the WAL truncation that follows does not need to be
-    atomic with the rename — recovery simply skips WAL records whose
-    index the snapshot already covers.
+    [snapshot.bin] ([XCWSNAP1] magic, last covered record index,
+    payload length, CRC, payload); both CRCs are {!Codec.crc32}.
+    Records carry monotone indices; a snapshot commits via write-temp +
+    fsync + rename and records the highest index it covers, so the WAL
+    truncation that follows does not need to be atomic with the rename
+    — recovery simply skips WAL records whose index the snapshot
+    already covers.
 
     On [open_], recovery loads the newest valid snapshot (a torn temp
     file or corrupt snapshot is discarded), scans the WAL, truncates
@@ -33,9 +34,12 @@ val open_ : ?crash:Crash_plan.t -> dir:string -> unit -> t * recovered
 val append : t -> string -> int
 (** Append one record; returns its index.  Durable once it returns. *)
 
-val snapshot : t -> string -> unit
-(** Atomically replace the snapshot with [payload] covering every
-    record appended so far, then truncate the WAL. *)
+val snapshot : t -> string list -> unit
+(** [snapshot t pieces] atomically replaces the snapshot with the
+    payload [String.concat "" pieces], covering every record appended
+    so far, then truncates the WAL.  The pieces are streamed to the
+    temp file and their CRC computed piece by piece, so the payload is
+    never concatenated in memory. *)
 
 val next_index : t -> int
 

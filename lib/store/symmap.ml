@@ -1,5 +1,6 @@
 type t = {
-  sm_fwd : (string, int) Hashtbl.t;
+  mutable sm_of_proc : int array;
+      (* process intern id -> store id; -1 = unassigned *)
   mutable sm_back : int array; (* store id -> process packed cell *)
   mutable sm_strs : string array; (* store id -> string, for snapshots *)
   mutable sm_n : int;
@@ -8,7 +9,7 @@ type t = {
 
 let create () =
   {
-    sm_fwd = Hashtbl.create 64;
+    sm_of_proc = Array.make 64 (-1);
     sm_back = Array.make 64 0;
     sm_strs = Array.make 64 "";
     sm_n = 0;
@@ -25,11 +26,19 @@ let grow t =
     t.sm_strs <- strs
   end
 
-let assign t s ~fresh =
+let assign t s packed ~fresh =
   grow t;
   let id = t.sm_n in
-  Hashtbl.add t.sm_fwd s id;
-  t.sm_back.(id) <- Xcw_datalog.Ast.pack_string s;
+  let proc = packed lsr 1 in
+  if proc >= Array.length t.sm_of_proc then begin
+    let of_proc =
+      Array.make (max (proc + 1) (2 * Array.length t.sm_of_proc)) (-1)
+    in
+    Array.blit t.sm_of_proc 0 of_proc 0 (Array.length t.sm_of_proc);
+    t.sm_of_proc <- of_proc
+  end;
+  t.sm_of_proc.(proc) <- id;
+  t.sm_back.(id) <- packed;
   t.sm_strs.(id) <- s;
   t.sm_n <- id + 1;
   if fresh then t.sm_fresh_rev <- s :: t.sm_fresh_rev;
@@ -38,15 +47,16 @@ let assign t s ~fresh =
 let encode_cell t packed =
   if Xcw_datalog.Ast.packed_is_int packed then packed
   else
-    let s =
-      match Xcw_datalog.Ast.unpack packed with
-      | Xcw_datalog.Ast.Str s -> s
-      | Xcw_datalog.Ast.Int _ -> assert false
+    let proc = packed lsr 1 in
+    let id =
+      if proc < Array.length t.sm_of_proc then t.sm_of_proc.(proc) else -1
     in
     let id =
-      match Hashtbl.find_opt t.sm_fwd s with
-      | Some id -> id
-      | None -> assign t s ~fresh:true
+      if id >= 0 then id
+      else
+        assign t
+          (Xcw_datalog.Ast.packed_to_string packed)
+          packed ~fresh:true
     in
     (id lsl 1) lor 1
 
@@ -58,7 +68,8 @@ let decode_cell t stored =
       raise (Codec.R.Corrupt (Printf.sprintf "symbol id %d out of range" id))
     else t.sm_back.(id)
 
-let register t s = ignore (assign t s ~fresh:false)
+let register t s =
+  ignore (assign t s (Xcw_datalog.Ast.pack_string s) ~fresh:false)
 
 let take_fresh t =
   let fresh = List.rev t.sm_fresh_rev in

@@ -8,7 +8,12 @@
     and snapshots carry the whole table, so replaying a store
     reconstructs the exact id space regardless of what the process
     Symtab looks like.  Cells keep the engine's packing scheme — even
-    = integer as-is, odd = [(store_id lsl 1) lor 1]. *)
+    = integer as-is, odd = [(store_id lsl 1) lor 1].
+
+    Lookups are keyed on the process intern id, not the string: a
+    growable int array maps each process id to its store id, so
+    encoding a cell is an array read.  The price is one int per process
+    symbol id (up to the highest id this store has seen), per store. *)
 
 type t
 

@@ -1,9 +1,11 @@
 (* Durable-state suite (DESIGN.md §14).
 
    Five axes:
-   - store primitives: WAL framing round-trips, torn tails and
-     CRC-corrupt records truncate to the last valid record, snapshots
-     commit atomically and absorb the WAL prefix they cover, and a
+   - store primitives: the slicing-by-8 CRC-32 agrees with its
+     byte-at-a-time reference on any substring and over any split into
+     pieces, WAL framing round-trips, torn tails and CRC-corrupt
+     records truncate to the last valid record, snapshots commit
+     atomically and absorb the WAL prefix they cover, and a
      deterministic crash sweep over every write opportunity of a fixed
      append/snapshot script leaves a clean prefix of the record stream;
    - satellites: Engine.dump_facts survives a simulated partial write
@@ -11,10 +13,12 @@
      retry-after hint is clamped against the remaining retry budget
      instead of blowing the deadline or forcing a spurious give-up;
    - monitor resumption: a checkpointed monitor stopped mid-timeline
-     and recovered from its state directory emits exactly the
-     uninterrupted alert stream (dedup by al_seq) and converges to the
-     identical report; a reorg-storm lane restarted mid-rewind still
-     matches the clean monitor's alert keys;
+     and recovered from its state directory holds the stopped
+     monitor's decoded facts, emits exactly the uninterrupted alert
+     stream (dedup by al_seq) and converges to the identical report,
+     and its first life's snapshot.bin and wal.log match
+     golden/store_format.golden; a reorg-storm lane restarted
+     mid-rewind still matches the clean monitor's alert keys;
    - fleet crash sweep: the qcheck property "crash at any injected
      write point, restart, resume == uninterrupted run" over a
      nomad/ronin/attack-pack fleet at --jobs 1 and 4 (full 1..N sweep
@@ -59,14 +63,69 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
+(* Compare [rendered] with golden/NAME.golden, or write it there under
+   XCW_GOLDEN_WRITE=DIR. *)
+let check_golden ~name rendered =
+  match Sys.getenv_opt "XCW_GOLDEN_WRITE" with
+  | Some gdir ->
+      let path = Filename.concat gdir (name ^ ".golden") in
+      write_file path rendered;
+      Printf.printf "wrote %s\n%!" path
+  | None ->
+      let path = Filename.concat "golden" (name ^ ".golden") in
+      if not (Sys.file_exists path) then
+        Alcotest.failf "missing fixture %s (regenerate with XCW_GOLDEN_WRITE)"
+          path
+      else
+        let expected = T.read_file path in
+        if expected <> rendered then
+          Alcotest.failf "%s drifted from %s at %s" name path
+            (T.first_diff expected rendered)
+
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
+
+(* The byte-at-a-time IEEE CRC-32 over boxed Int32 that [Codec.crc32]
+   replaced: the slicing-by-8 kernel must agree with it on every
+   substring. *)
+let reference_crc32 ?(off = 0) ?len s =
+  let len = match len with Some l -> l | None -> String.length s - off in
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFFl in
+  for i = off to off + len - 1 do
+    let idx =
+      Int32.to_int
+        (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
+    in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.logxor !c 0xFFFFFFFFl
 
 let codec_roundtrip =
   Alcotest.test_case "codec round-trips every primitive; crc32 is IEEE"
     `Quick (fun () ->
       Alcotest.(check int32) "crc32 check vector" 0xCBF43926l
         (Codec.crc32 "123456789");
+      (* Every length residue mod 8 at every word alignment. *)
+      let s = String.init 40 (fun i -> Char.chr (((i * 151) + 7) land 0xFF)) in
+      for off = 0 to 8 do
+        for len = 0 to 24 do
+          Alcotest.(check int32)
+            (Printf.sprintf "crc32 off=%d len=%d" off len)
+            (reference_crc32 ~off ~len s)
+            (Codec.crc32 ~off ~len s)
+        done
+      done;
       let b = Buffer.create 64 in
       Codec.W.int b (-42);
       Codec.W.int b max_int;
@@ -90,6 +149,45 @@ let codec_roundtrip =
       match Codec.R.int (Codec.R.of_string "short") with
       | exception Codec.R.Corrupt _ -> ()
       | _ -> Alcotest.fail "truncated read must raise Corrupt")
+
+(* A string of 0-300 bytes and an in-range substring of it. *)
+let substring_gen =
+  QCheck.Gen.(
+    string_size ~gen:char (int_bound 300) >>= fun s ->
+    let n = String.length s in
+    int_bound n >>= fun off ->
+    int_bound (n - off) >|= fun len -> (s, off, len))
+
+let prop_crc_reference =
+  QCheck.Test.make ~count:(T.qcount 500)
+    ~name:"crc32 ~off ~len = byte-at-a-time reference"
+    (QCheck.make
+       ~print:(fun (s, off, len) ->
+         Printf.sprintf "%S off=%d len=%d" s off len)
+       substring_gen)
+    (fun (s, off, len) ->
+      Codec.crc32 ~off ~len s = reference_crc32 ~off ~len s)
+
+(* A string of 0-300 bytes cut at random points (empty pieces
+   included). *)
+let pieces_gen =
+  QCheck.Gen.(
+    string_size ~gen:char (int_bound 300) >>= fun s ->
+    list_size (int_bound 8) (int_bound (String.length s)) >|= fun cuts ->
+    let cuts = List.sort compare cuts in
+    let rec split from = function
+      | [] -> [ String.sub s from (String.length s - from) ]
+      | c :: rest -> String.sub s from (c - from) :: split c rest
+    in
+    split 0 cuts)
+
+let prop_crc_pieces =
+  QCheck.Test.make ~count:(T.qcount 500)
+    ~name:"crc32_pieces = crc32 of the concatenation"
+    (QCheck.make
+       ~print:(fun ps -> String.concat " | " (List.map String.escaped ps))
+       pieces_gen)
+    (fun ps -> Codec.crc32_pieces ps = Codec.crc32 (String.concat "" ps))
 
 (* ------------------------------------------------------------------ *)
 (* WAL + snapshot primitives                                           *)
@@ -175,7 +273,7 @@ let snapshot_recovery =
       let t, _ = Store.open_ ~dir () in
       ignore (Store.append t "a");
       ignore (Store.append t "b");
-      Store.snapshot t "state-after-2";
+      Store.snapshot t [ "state-after-"; "2" ];
       Alcotest.(check int) "WAL truncated after the snapshot" 0
         (Store.wal_bytes t);
       ignore (Store.append t "c");
@@ -210,7 +308,7 @@ let store_crash_sweep =
              let p = Printf.sprintf "rec-%d" i in
              ignore (Store.append t p);
              completed := p :: !completed;
-             if i = 3 then Store.snapshot t "upto-3"
+             if i = 3 then Store.snapshot t [ "upto-3" ]
            done
          with Crash_plan.Crashed _ -> ());
         Store.close t;
@@ -375,10 +473,23 @@ let monitor_resume =
           first
       in
       let seq1 = Monitor.alert_seq mon1 in
+      let facts1 = Monitor.cached_facts mon1 in
       Monitor.Checkpoint.close ck1;
+      (* The on-disk bytes of the first life are pinned: a change to the
+         store or the checkpoint codec that moves a byte shows up here. *)
+      check_golden ~name:"store_format"
+        (String.concat ""
+           (List.map
+              (fun file ->
+                let raw = read_file (Filename.concat dir file) in
+                Printf.sprintf "%s bytes=%d crc32=%08lx\n" file
+                  (String.length raw) (Codec.crc32 raw))
+              [ "snapshot.bin"; "wal.log" ]));
       (* Second life: recover and replay the remaining timeline. *)
       let ck2 = Monitor.Checkpoint.open_ ~snapshot_every:2 ~dir () in
       let mon2 = Monitor.create ~checkpoint:ck2 input in
+      Alcotest.(check bool) "decoded facts recovered" true
+        (Monitor.cached_facts mon2 = facts1);
       Alcotest.(check int) "sequence counter recovered" seq1
         (Monitor.alert_seq mon2);
       Alcotest.(check int) "poll counter recovered" 3 (Monitor.polls mon2);
@@ -469,6 +580,7 @@ let reorg_restart =
       done;
       let reorgs1 = (Monitor.health faulty1).Monitor.h_reorgs in
       Alcotest.(check bool) "a reorg fired before the stop" true (reorgs1 > 0);
+      let facts1 = Monitor.cached_facts faulty1 in
       Monitor.Checkpoint.close ck1;
       (* Restart mid-rewind: the recovered monitor re-derives the
          database and keeps chasing the chains.  The fault PRNG restarts
@@ -476,6 +588,8 @@ let reorg_restart =
          clean alerts, no duplicates), not byte-identity of cursors. *)
       let ck2 = Monitor.Checkpoint.open_ ~dir () in
       let faulty2 = Monitor.create ~checkpoint:ck2 faulty_input in
+      Alcotest.(check bool) "decoded facts recovered" true
+        (Monitor.cached_facts faulty2 = facts1);
       Alcotest.(check int) "reorg count recovered" reorgs1
         (Monitor.health faulty2).Monitor.h_reorgs;
       let hwm = ref (Monitor.alert_seq faulty2) in
@@ -681,31 +795,19 @@ let recovery_golden =
           h.Sup.fh_collapsed;
         Buffer.contents buf
       in
-      let rendered = render_health (Sup.health second) in
-      match Sys.getenv_opt "XCW_GOLDEN_WRITE" with
-      | Some gdir ->
-          let path = Filename.concat gdir "recovery.golden" in
-          let oc = open_out_bin path in
-          output_string oc rendered;
-          close_out oc;
-          Printf.printf "wrote %s\n%!" path
-      | None ->
-          let path = Filename.concat "golden" "recovery.golden" in
-          if not (Sys.file_exists path) then
-            Alcotest.failf
-              "missing fixture %s (regenerate with XCW_GOLDEN_WRITE)" path
-          else
-            let expected = T.read_file path in
-            if expected <> rendered then
-              Alcotest.failf "recovery health drifted from %s at %s" path
-                (T.first_diff expected rendered))
+      check_golden ~name:"recovery" (render_health (Sup.health second)))
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "store"
     [
-      ("codec", [ codec_roundtrip ]);
+      ( "codec",
+        [
+          codec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_crc_reference;
+          QCheck_alcotest.to_alcotest prop_crc_pieces;
+        ] );
       ( "wal",
         [ wal_roundtrip; wal_torn_tail; wal_corrupt_record; snapshot_recovery ]
       );

@@ -15,8 +15,10 @@
 # determinism over random traffic), each at XCW_STRESS x their default
 # qcheck case counts (default 10x) — plus, via the @crash alias, the
 # exhaustive durable-store crash sweep (XCW_CRASH_FULL=1: every
-# WAL/snapshot write point of a 3-lane fleet, restarted stream asserted
-# byte-identical to the uninterrupted run).
+# WAL/snapshot write point of a 4-lane fleet, restarted stream asserted
+# byte-identical to the uninterrupted run) with test_store's own qcheck
+# properties (random crash points, CRC-32 against its byte-at-a-time
+# reference and over split pieces) at the same XCW_STRESS multiple.
 #
 # Equivalent to `dune build @stress`; this wrapper exists so the knob is
 # discoverable and overridable:
