@@ -122,13 +122,25 @@ let exit_arg =
            slashing-evasion).  Mutually exclusive with $(b,--bridge) and \
            $(b,--attack).")
 
+(* The scale multiplies traffic counts, so zero, a negative value, NaN
+   or infinity is a usage error naming the flag, not a workload. *)
 let scale_arg =
-  Arg.(
-    value & opt float 0.05
-    & info [ "scale" ] ~docv:"S"
-        ~doc:
-          "Benign-traffic volume as a fraction of the paper's counts; \
-           injected anomalies keep their exact paper counts.")
+  let check scale =
+    if Float.is_finite scale && scale > 0. then scale
+    else begin
+      Format.eprintf "xcw: --scale %g must be positive and finite@." scale;
+      exit 2
+    end
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt float 0.05
+        & info [ "scale" ] ~docv:"S"
+            ~doc:
+              "Benign-traffic volume as a fraction of the paper's counts \
+               (positive and finite); injected anomalies keep their exact \
+               paper counts."))
 
 let seed_arg =
   Arg.(
@@ -166,14 +178,26 @@ let rules_file_arg =
           "Load the cross-chain rules from a Souffle-style .dl file \
            instead of the shipped rules/cross_chain_rules.dl.")
 
+(* A rules file that cannot be read, does not parse or holds no rule
+   is a usage error naming the flag and the file: a file cut short at a
+   comment boundary parses to nothing, and would otherwise run a
+   detector that captures nothing. *)
 let load_rules = function
   | None -> Xcw_core.Rules.program
-  | Some path ->
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let src = really_input_string ic n in
-      close_in ic;
-      { Xcw_datalog.Ast.rules = Xcw_datalog.Parser.parse_program src }
+  | Some path -> (
+      let fail msg =
+        Format.eprintf "xcw: --rules %s@." msg;
+        exit 2
+      in
+      let src =
+        try In_channel.with_open_bin path In_channel.input_all
+        with Sys_error msg -> fail msg
+      in
+      match Xcw_datalog.Parser.parse_program src with
+      | exception Xcw_datalog.Parser.Parse_error { line; col; message } ->
+          fail (Printf.sprintf "%s:%d:%d: %s" path line col message)
+      | [] -> fail (path ^ ": no rules")
+      | rules -> { Xcw_datalog.Ast.rules })
 
 let dataset_csv_arg =
   Arg.(
@@ -339,6 +363,7 @@ let detect_cmd =
   let run kind attack exit_lane scale seed latency endpoints quorum byzantine
       jobs report_file dataset_file dataset_csv_file rules_file dump_facts_dir
       metrics_file trace_file =
+    let program = load_rules rules_file in
     let module Exit_bridge = Xcw_workload.Exit_bridge in
     let reseed_exit (base : Exit_bridge.base) =
       {
@@ -403,7 +428,7 @@ let detect_cmd =
         Detector.i_source_profile = profile;
         i_target_profile = profile;
         i_first_window_withdrawal_id = built.Scenario.first_window_withdrawal_id;
-        i_program = load_rules rules_file;
+        i_program = program;
       }
     in
     let input = apply_quorum input endpoints quorum byzantine in
@@ -473,8 +498,8 @@ let state_dir_arg =
            (dedupable by their sequence number).")
 
 (* A state directory the OS refuses — a path through a regular file,
-   say — is a usage error naming the flag, not an uncaught exception
-   from deep inside the store. *)
+   say — or one holding a damaged snapshot is a usage error naming the
+   flag, not an uncaught exception from deep inside the store. *)
 let opening_state_dir state_dir f =
   match state_dir with
   | None -> f ()
@@ -486,7 +511,7 @@ let opening_state_dir state_dir f =
       try f () with
       | Unix.Unix_error (e, fn, arg) ->
           fail (Printf.sprintf "%s (%s %s)" (Unix.error_message e) fn arg)
-      | Sys_error msg -> fail msg)
+      | Sys_error msg | Xcw_store.Store.Damaged_snapshot msg -> fail msg)
 
 let monitor_cmd =
   let run kind scale seed interval_hours endpoints quorum byzantine jobs

@@ -27,10 +27,17 @@
     [snapshot_every]-th poll's snapshot.  A snapshot re-encodes no
     entry (each is encoded once, when first written, and its bytes are
     kept; see {!put_entry}) and builds no copy of its payload, but it
-    still writes the bytes of every entry and every derived tuple, CRCs
-    them and fsyncs them.  [create ~incremental:false] keeps the original
-    rebuild-everything behaviour for comparison (see the
-    [monitor_steady_state] bench).
+    still writes the bytes of every entry, CRCs them and fsyncs them.
+
+    The database is never persisted, only what it is built from.  There
+    is one way to build it, {!fresh_db}: the config facts plus every
+    decoded entry's facts, at creation, after recovery, after a reorg
+    rewind, and on every poll of [create ~incremental:false] (the
+    original rebuild-everything behaviour, kept for comparison; see the
+    [monitor_steady_state] bench).  The first poll on a fresh database
+    evaluates the whole program, so a restart costs one full
+    evaluation, and rules added since the snapshot see the whole
+    history.
 
     The monitor degrades gracefully under RPC faults (see
     {!Xcw_rpc.Fault}): a receipt whose fetch or decode fails stays
@@ -38,8 +45,8 @@
     are no silent gaps — and is retried at the next poll; a failed
     head observation skips the side for the poll and surfaces through
     {!health} instead of raising; a reorg signal rewinds the cursor
-    past the replaced blocks and rebuilds the database through the
-    engine's retraction path.  Alerts are only emitted from synced
+    past the replaced blocks and rebuilds the database from the
+    surviving entries.  Alerts are only emitted from synced
     polls (every receipt within the requested cursors decoded), so
     transient one-sided views never cause spurious or missing
     alerts relative to a fault-free run — the differential property
@@ -288,8 +295,8 @@ type t = {
   m_incremental : bool;
   m_metrics : Metrics.t;
   m_obs : monitor_obs;
-  (* Persistent Datalog database for incremental evaluation; config
-     facts are pre-loaded.  Replaced wholesale after a reorg rewind. *)
+  (* Persistent Datalog database for incremental evaluation; built by
+     [fresh_db] at creation and again after a reorg rewind. *)
   mutable m_db : Engine.db;
   (* Anomaly keys already alerted: (rule, class name, tx hash). *)
   m_known : (string * string * string, unit) Hashtbl.t;
@@ -387,6 +394,15 @@ let all_entry_facts t =
 let all_decode_errors t = side_errors t.m_src @ side_errors t.m_dst
 let facts_cached t = t.m_src.sd_facts + t.m_dst.sd_facts
 
+(* The monitor's one way to build a database: the config facts and
+   every decoded entry's facts.  Nothing is evaluated yet; the next
+   [run_incremental] treats the whole load as its delta. *)
+let fresh_db t =
+  let db = Engine.create_db () in
+  ignore (Facts.load_all db (Config.to_facts t.m_input.Detector.i_config));
+  ignore (Facts.load_all db (all_entry_facts t));
+  db
+
 (* ------------------------------------------------------------------ *)
 (* Durable state codec                                                 *)
 
@@ -394,11 +410,12 @@ let facts_cached t = t.m_src.sd_facts + t.m_dst.sd_facts
    polls, reorgs, last_error, seq, then per side (source first)
    the requested cursor + removed entry indices + added entries, then
    the alerts emitted by the poll.  Snapshots reuse the same layout
-   with removed = [] and added = every entry, add the already-alerted
-   key set, and end with the derived tuples.  Fact tuples go through
-   the store-local {!Xcw_store.Symmap} so persisted cells re-pack
-   identically no matter what the process intern table looks like
-   after restart. *)
+   with removed = [] and added = every entry, and end with the
+   already-alerted key set.  Nothing derived is written: recovery
+   rebuilds the database from the entries ({!fresh_db}).  Fact tuples
+   go through the store-local {!Xcw_store.Symmap} so persisted cells
+   re-pack identically no matter what the process intern table looks
+   like after restart. *)
 
 module CW = Xcw_store.Codec.W
 module CR = Xcw_store.Codec.R
@@ -485,11 +502,10 @@ let put_side_head b s ~removed ~added =
 
 let apply_side sym r s =
   s.sd_requested <- CR.int r;
-  let removed = CR.list r (fun () -> CR.int r) in
-  List.iter (remove_entry s) removed;
-  let added = CR.list r (fun () -> get_entry sym r) in
-  List.iter (fun (i, e) -> add_entry s i e) added;
-  (List.length removed, added)
+  List.iter (remove_entry s) (CR.list r (fun () -> CR.int r));
+  List.iter
+    (fun (i, e) -> add_entry s i e)
+    (CR.list r (fun () -> get_entry sym r))
 
 let put_head t b =
   CW.int b t.m_polls;
@@ -497,17 +513,13 @@ let put_head t b =
   CW.opt_str b t.m_last_error;
   CW.int b t.m_seq
 
-(* Returns the record's rewind-removal count and added entries (source
-   first, record order) so recovery can replay the WAL tail as an
-   ordinary incremental delta — or detect that a rewind invalidated the
-   snapshot's restored fixpoint. *)
 let apply_state t ck r =
   t.m_polls <- CR.int r;
   t.m_reorgs <- CR.int r;
   t.m_last_error <- CR.opt_str r;
   t.m_seq <- CR.int r;
-  let src_removed, src_added = apply_side ck.Checkpoint.ck_sym r t.m_src in
-  let dst_removed, dst_added = apply_side ck.Checkpoint.ck_sym r t.m_dst in
+  apply_side ck.Checkpoint.ck_sym r t.m_src;
+  apply_side ck.Checkpoint.ck_sym r t.m_dst;
   let alerts = CR.list r (fun () -> Checkpoint.get_alert r) in
   t.m_replay <- alerts;
   (* A record's already-alerted additions are its alerts; a snapshot
@@ -527,8 +539,7 @@ let apply_state t ck r =
            let ru = CR.str r in
            let cl = CR.str r in
            let tx = CR.str r in
-           (ru, cl, tx)));
-  (src_removed + dst_removed, src_added @ dst_added)
+           (ru, cl, tx)))
 
 (* The symbol section that opens a payload: the strings given store ids
    while encoding the body, so the decoder can bind them before the
@@ -537,39 +548,6 @@ let symbol_section syms =
   let b = CW.create () in
   CW.list b (CW.str b) syms;
   Buffer.contents b
-
-(* Snapshots additionally persist the engine-derived tuples, so
-   recovery can graft them back via {!Engine.restore_fixpoint} instead
-   of re-deriving every rule over the reloaded history. *)
-let put_tuple sym b tuple =
-  CW.int b (Array.length tuple);
-  Array.iter (fun c -> CW.int b (Symmap.encode_cell sym c)) tuple
-
-let get_tuple sym r =
-  let n = CR.int r in
-  if n < 0 || n > 64 then raise (CR.Corrupt "derived tuple arity out of range");
-  let tuple = Array.make n 0 in
-  for i = 0 to n - 1 do
-    tuple.(i) <- Symmap.decode_cell sym (CR.int r)
-  done;
-  tuple
-
-let put_derived sym b db =
-  CW.list b
-    (fun pred ->
-      CW.int b (Symmap.encode_cell sym (Xcw_datalog.Ast.pack_string pred));
-      CW.list b (put_tuple sym b) (Engine.packed_facts db pred))
-    (Engine.derived_predicates db)
-
-let get_derived sym r =
-  CR.list r (fun () ->
-      let pred =
-        match Xcw_datalog.Ast.unpack (Symmap.decode_cell sym (CR.int r)) with
-        | Xcw_datalog.Ast.Str s -> s
-        | Xcw_datalog.Ast.Int _ ->
-            raise (CR.Corrupt "derived predicate is an int")
-      in
-      (pred, CR.list r (fun () -> get_tuple sym r)))
 
 let encode_record t ck ~src ~dst ~alerts =
   let sym = ck.Checkpoint.ck_sym in
@@ -587,8 +565,8 @@ let encode_record t ck ~src ~dst ~alerts =
 
 (* The snapshot payload as pieces for {!Xcw_store.Store.snapshot}: the
    whole symbol table, the state head, each side's head and its
-   entries' cached bytes in index order, then the alerts, the
-   already-alerted key set and the derived tuples. *)
+   entries' cached bytes in index order, then the alerts and the
+   already-alerted key set. *)
 let encode_snapshot t ck =
   let sym = ck.Checkpoint.ck_sym in
   let side s =
@@ -610,68 +588,35 @@ let encode_snapshot t ck =
       CW.str tail cl;
       CW.str tail tx)
     (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.m_known []));
-  put_derived sym tail t.m_db;
   (* The full table below covers every id the body just assigned. *)
   ignore (Symmap.take_fresh sym);
   (symbol_section (Symmap.dump sym) :: Buffer.contents head :: src)
   @ dst @ [ Buffer.contents tail ]
 
-(* Returns the applied record's (rewind removals, added-entry facts)
-   plus the reader, positioned after the state body so snapshot
-   recovery can continue into the derived-tuple section. *)
+(* A payload is read up to its already-alerted key set; bytes after it
+   are ignored (snapshots once carried derived relations there). *)
 let apply_payload t ck payload =
   let r = CR.of_string payload in
   List.iter
     (Symmap.register ck.Checkpoint.ck_sym)
     (CR.list r (fun () -> CR.str r));
-  let removed, added = apply_state t ck r in
-  (removed, List.concat_map (fun (_i, e) -> e.e_facts) added, r)
+  apply_state t ck r
 
+(* Recovery restores what the monitor decoded and nothing it derived:
+   the snapshot, then the WAL tail, applied to the entries in order.
+   {!create} then builds the database from them with {!fresh_db}, as a
+   reorg rewind does. *)
 let recover t ck =
   let { Xcw_store.Store.r_snapshot; r_records; r_truncated_bytes = _ } =
     Checkpoint.consume ck
   in
-  let restored_fixpoint =
-    match r_snapshot with
-    | None -> false
-    | Some p ->
-        let _, _, r = apply_payload t ck p in
-        let derived = get_derived ck.Checkpoint.ck_sym r in
-        (* The snapshot's entries are the EDB of a persisted fixpoint:
-           load them, graft the derived tuples back, and declare the
-           database evaluated — the WAL tail and the next poll then run
-           as ordinary incremental deltas instead of re-deriving every
-           rule over the reloaded history. *)
-        ignore (Facts.load_all t.m_db (all_entry_facts t));
-        Engine.restore_fixpoint t.m_db ~derived;
-        true
-  in
-  let tail_removed = ref 0 in
-  List.iter
-    (fun (_idx, p) ->
-      let removed, added_facts, _r = apply_payload t ck p in
-      tail_removed := !tail_removed + removed;
-      if restored_fixpoint then ignore (Facts.load_all t.m_db added_facts))
-    r_records;
+  Option.iter (apply_payload t ck) r_snapshot;
+  List.iter (fun (_idx, p) -> apply_payload t ck p) r_records;
   (* The cursor invariant is "decoded set = entry keys": rebuild it
      from the restored entries rather than replaying cursor motion. *)
   let rebuild s = Hashtbl.iter (fun i _ -> Cursor.mark s.sd_cursor i) s.sd_entries in
   rebuild t.m_src;
-  rebuild t.m_dst;
-  if restored_fixpoint && !tail_removed > 0 then begin
-    (* A reorg rewind in the WAL tail retracted part of the restored
-       fixpoint: fall back to the post-reorg rebuild path — fresh
-       database, full reload, next poll re-derives from scratch. *)
-    let db = Engine.create_db () in
-    ignore (Facts.load_all db (Config.to_facts t.m_input.Detector.i_config));
-    ignore (Facts.load_all db (all_entry_facts t));
-    t.m_db <- db
-  end
-  else if not restored_fixpoint then
-    (* No snapshot: refill the fresh database; the next poll's
-       [run_incremental] treats the reload as its initial delta and
-       re-derives everything, exactly like the post-reorg rebuild. *)
-    ignore (Facts.load_all t.m_db (all_entry_facts t))
+  rebuild t.m_dst
 
 let create ?(incremental = true) ?metrics ?checkpoint (input : Detector.input)
     : t =
@@ -679,8 +624,6 @@ let create ?(incremental = true) ?metrics ?checkpoint (input : Detector.input)
   let metrics =
     match metrics with Some m -> m | None -> Metrics.default ()
   in
-  let db = Engine.create_db () in
-  ignore (Facts.load_all db (Config.to_facts input.Detector.i_config));
   let t =
     {
       m_input = input;
@@ -701,7 +644,7 @@ let create ?(incremental = true) ?metrics ?checkpoint (input : Detector.input)
       m_incremental = incremental;
       m_metrics = metrics;
       m_obs = make_obs metrics;
-      m_db = db;
+      m_db = Engine.create_db () (* built below, after recovery *);
       m_known = Hashtbl.create 256;
       m_polls = 0;
       m_evaluated = None;
@@ -712,7 +655,8 @@ let create ?(incremental = true) ?metrics ?checkpoint (input : Detector.input)
       m_replay = [];
     }
   in
-  (match checkpoint with None -> () | Some ck -> recover t ck);
+  Option.iter (recover t) checkpoint;
+  t.m_db <- fresh_db t;
   t
 
 (* Extend the receipt index by the receipts the chain gained since the
@@ -858,17 +802,11 @@ and poll_body t ~source_block ~target_block =
   let fresh_facts = src_fresh @ dst_fresh in
   let db =
     if t.m_incremental then begin
-      if rewound then begin
+      if rewound then
         (* Facts from replaced blocks are gone: rebuild the persistent
-           database from the surviving entries; the next
-           [run_incremental] re-derives everything (first run on a
-           fresh database evaluates from scratch). *)
-        let db = Engine.create_db () in
-        ignore
-          (Facts.load_all db (Config.to_facts t.m_input.Detector.i_config));
-        ignore (Facts.load_all db (all_entry_facts t));
-        t.m_db <- db
-      end
+           database from the surviving entries; the [run_incremental]
+           below re-derives everything. *)
+        t.m_db <- fresh_db t
       else
         (* Load only the delta; strata unaffected by the fresh facts
            are skipped by the engine. *)
@@ -881,9 +819,7 @@ and poll_body t ~source_block ~target_block =
     end
     else begin
       (* From-scratch reference mode: rebuild the full database. *)
-      let db = Engine.create_db () in
-      ignore (Facts.load_all db (Config.to_facts t.m_input.Detector.i_config));
-      ignore (Facts.load_all db (all_entry_facts t));
+      let db = fresh_db t in
       ignore
         (Engine.run ~metrics:t.m_metrics
            ~ndomains:t.m_input.Detector.i_ndomains
@@ -912,65 +848,45 @@ and poll_body t ~source_block ~target_block =
             t.m_input.Detector.i_first_window_withdrawal_id
           ~decode_errors:(all_decode_errors t) ~db
       in
-      let fresh = ref [] in
-      List.iter
-        (fun row ->
-          List.iter
-            (fun a ->
-              let key =
-                ( row.Report.rr_rule,
-                  Report.class_name a.Report.a_class,
-                  a.Report.a_tx_hash )
-              in
-              if not (Hashtbl.mem t.m_known key) then begin
-                Hashtbl.replace t.m_known key ();
-                t.m_seq <- t.m_seq + 1;
-                fresh :=
-                  {
-                    al_seq = t.m_seq;
-                    al_anomaly = a;
-                    al_rule = row.Report.rr_rule;
-                    al_detected_at = (source_block, target_block);
-                  }
-                  :: !fresh
-              end)
-            row.Report.rr_anomalies)
-        rows;
-      (* Accounting rows alert through the same dedup/sequence machinery:
-         a hit becomes an anomaly of class [Accounting xr_class], keyed
-         by its accounting relation. *)
-      List.iter
-        (fun row ->
-          List.iter
-            (fun h ->
-              let cls = Report.Accounting row.Report.xr_class in
-              let key =
-                ( row.Report.xr_rule,
-                  Report.class_name cls,
-                  h.Report.ah_tx_hash )
-              in
-              if not (Hashtbl.mem t.m_known key) then begin
-                Hashtbl.replace t.m_known key ();
-                t.m_seq <- t.m_seq + 1;
-                fresh :=
-                  {
-                    al_seq = t.m_seq;
-                    al_anomaly =
-                      {
-                        Report.a_class = cls;
-                        a_tx_hash = h.Report.ah_tx_hash;
-                        a_chain_id = h.Report.ah_chain_id;
-                        a_usd_value = h.Report.ah_usd_value;
-                        a_detail = h.Report.ah_detail;
-                      };
-                    al_rule = row.Report.xr_rule;
-                    al_detected_at = (source_block, target_block);
-                  }
-                  :: !fresh
-              end)
-            row.Report.xr_hits)
-        acc_rows;
-      List.rev !fresh
+      (* Accounting hits alert through the same dedup/sequence
+         machinery as rule rows: each becomes an anomaly of class
+         [Accounting xr_class], keyed by its accounting relation. *)
+      let acc_anomalies row =
+        let cls = Report.Accounting row.Report.xr_class in
+        List.map
+          (fun h ->
+            {
+              Report.a_class = cls;
+              a_tx_hash = h.Report.ah_tx_hash;
+              a_chain_id = h.Report.ah_chain_id;
+              a_usd_value = h.Report.ah_usd_value;
+              a_detail = h.Report.ah_detail;
+            })
+          row.Report.xr_hits
+      in
+      List.map (fun row -> (row.Report.rr_rule, row.Report.rr_anomalies)) rows
+      @ List.map (fun row -> (row.Report.xr_rule, acc_anomalies row)) acc_rows
+      |> List.concat_map (fun (rule, anomalies) ->
+             List.filter_map
+               (fun a ->
+                 let key =
+                   ( rule,
+                     Report.class_name a.Report.a_class,
+                     a.Report.a_tx_hash )
+                 in
+                 if Hashtbl.mem t.m_known key then None
+                 else begin
+                   Hashtbl.replace t.m_known key ();
+                   t.m_seq <- t.m_seq + 1;
+                   Some
+                     {
+                       al_seq = t.m_seq;
+                       al_anomaly = a;
+                       al_rule = rule;
+                       al_detected_at = (source_block, target_block);
+                     }
+                 end)
+               anomalies)
     end
   in
   (* Durability point: the record (cursor delta + alert seqs) hits the

@@ -590,22 +590,6 @@ let total_tuples (db : db) =
 let derived_predicates (db : db) =
   List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) db.db_derived [])
 
-(* Declare a database restored from durable storage to be at an
-   evaluation fixpoint: graft the persisted engine-derived tuples
-   (without journaling them), absorb everything loaded so far into the
-   fixpoint by clearing the pending delta journal, and mark the
-   database as evaluated so the next [run_incremental] treats only
-   facts inserted after this call as its delta. *)
-let restore_fixpoint (db : db) ~derived =
-  List.iter
-    (fun (pred, tuples) ->
-      let r = relation db pred in
-      List.iter (fun t -> ignore (Relation.add r t)) tuples;
-      Hashtbl.replace db.db_derived pred ())
-    derived;
-  Hashtbl.reset db.db_journal;
-  db.db_ran <- true
-
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     let parent = Filename.dirname dir in

@@ -110,19 +110,6 @@ val derived_predicates : db -> string list
 (** Predicates populated by the engine in previous runs (sorted); all
     other relations are EDB and are never cleared by evaluation. *)
 
-val restore_fixpoint : db -> derived:(string * Relation.tuple list) list -> unit
-(** Declare a database reloaded from durable storage to be at an
-    evaluation fixpoint: insert each [(pred, tuples)] pair as
-    engine-derived output (tuple arrays are owned by the database
-    afterwards), clear the pending delta journal — every fact loaded so
-    far becomes part of the restored fixpoint rather than of the next
-    incremental delta — and mark the database as evaluated.  Facts
-    inserted after this call are journaled normally, so the next
-    {!run_incremental} evaluates exactly the post-restore delta instead
-    of re-deriving the whole database.  The fixpoint claim is the
-    caller's to uphold: the tuples must be the complete derived output
-    of the same program over the loaded EDB. *)
-
 val dump_facts : db -> dir:string -> unit
 (** Write every relation as a tab-separated [<pred>.facts] file in
     [dir] — Souffle's input format, enabling cross-validation against

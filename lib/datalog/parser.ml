@@ -56,7 +56,9 @@ type token =
 
 type positioned = { tok : token; t_line : int; t_col : int }
 
-let tokenize (src : string) : positioned list =
+(* The tokens, and the line and column just past the last character:
+   where an end-of-input error points. *)
+let tokenize (src : string) : positioned list * (int * int) =
   let n = String.length src in
   let tokens = ref [] in
   let line = ref 1 and col = ref 1 in
@@ -168,18 +170,22 @@ let tokenize (src : string) : positioned list =
         if s = "_" then push T_underscore l0 c0 else push (T_ident s) l0 c0
     | c -> error ~line:l0 ~col:c0 (Printf.sprintf "unexpected character %C" c)
   done;
-  List.rev !tokens
+  (List.rev !tokens, (!line, !col))
 
 (* ------------------------------------------------------------------ *)
 (* Recursive-descent parser                                            *)
 
-type state = { mutable toks : positioned list }
+type state = { mutable toks : positioned list; eof : int * int }
 
 let peek_tok st = match st.toks with [] -> None | p :: _ -> Some p
 
+let end_of_input st message =
+  let line, col = st.eof in
+  error ~line ~col message
+
 let next_tok st =
   match st.toks with
-  | [] -> error ~line:0 ~col:0 "unexpected end of input"
+  | [] -> end_of_input st "unexpected end of input"
   | p :: rest ->
       st.toks <- rest;
       p
@@ -321,7 +327,7 @@ let parse_literal st : Ast.literal =
       match cmp_of_token p.tok with
       | Some op -> Ast.Cmp (op, lhs, parse_expr st)
       | None -> error ~line:p.t_line ~col:p.t_col "expected comparison operator")
-  | None -> error ~line:0 ~col:0 "unexpected end of input in body"
+  | None -> end_of_input st "unexpected end of input in body"
 
 let parse_rule_tokens st : Ast.rule =
   let p = next_tok st in
@@ -349,7 +355,7 @@ let parse_rule_tokens st : Ast.rule =
       expect st T_dot "'.'";
       { Ast.head; body = List.rev !body }
   | Some p -> error ~line:p.t_line ~col:p.t_col "expected ':-' or '.'"
-  | None -> error ~line:0 ~col:0 "unexpected end of input"
+  | None -> end_of_input st "unexpected end of input"
 
 (* Souffle directives (.decl/.input/.output) are accepted and skipped:
    declarations carry type information this engine infers from the
@@ -384,7 +390,8 @@ let skip_directive st =
 (** Parse a whole program: a sequence of rules and body-less facts;
     Souffle [.decl]/[.input]/[.output] directives are skipped. *)
 let parse_program (src : string) : Ast.rule list =
-  let st = { toks = tokenize src } in
+  let toks, eof = tokenize src in
+  let st = { toks; eof } in
   let rules = ref [] in
   while st.toks <> [] do
     match st.toks with

@@ -11,6 +11,8 @@
     double-quoted constants. *)
 
 exception Parse_error of { line : int; col : int; message : string }
+(** An error at the end of the input points just past its last
+    character. *)
 
 val parse_program : string -> Ast.rule list
 (** Parse a sequence of rules and body-less facts. *)

@@ -131,6 +131,11 @@ val create :
     merges each lane's durable alert tail back into the bus in lane
     order, so the emission stream (after the consumer dedups
     {!replayed} by [fa_seq]) is byte-identical to an uninterrupted run.
+    A damaged [snapshot.bin] is never skipped: in [state_dir/_fleet]
+    creation raises {!Xcw_store.Store.Damaged_snapshot}; in a lane's
+    directory the lane's monitor cannot be created, so each of its
+    polls fails through the breaker with that error while the other
+    lanes run on.
     [crash] threads a deterministic crash-injection plan through every
     store write of the fleet — a {!Xcw_store.Crash_plan.Crashed} escape
     aborts the poll like a process death instead of tripping the lane

@@ -39,19 +39,30 @@ let sync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       Unix.close fd
 
+exception Damaged_snapshot of string
+
+(* A snapshot is only ever published whole, by rename, and the WAL it
+   covers is truncated after it; so a snapshot that fails its checks
+   cannot be dropped without dropping that history with it. *)
 let load_snapshot path =
   if not (Sys.file_exists path) then None
   else
     let raw = read_file path in
+    let damaged why =
+      raise
+        (Damaged_snapshot (Printf.sprintf "%s: damaged snapshot (%s)" path why))
+    in
     let m = String.length snap_magic in
-    if String.length raw < m + header_len then None
-    else if String.sub raw 0 m <> snap_magic then None
+    if String.length raw < m + header_len then damaged "shorter than its header"
+    else if String.sub raw 0 m <> snap_magic then damaged "bad magic"
     else
       let last = Int64.to_int (String.get_int64_le raw m) in
       let len = Int64.to_int (String.get_int64_le raw (m + 8)) in
       let crc = String.get_int32_le raw (m + 16) in
-      if len < 0 || m + header_len + len <> String.length raw then None
-      else if Codec.crc32 ~off:(m + header_len) ~len raw <> crc then None
+      if len < 0 || m + header_len + len <> String.length raw then
+        damaged "length mismatch"
+      else if Codec.crc32 ~off:(m + header_len) ~len raw <> crc then
+        damaged "CRC mismatch"
       else Some (last, String.sub raw (m + header_len) len)
 
 (* Scan the WAL, returning valid records and the offset of the first

@@ -10,9 +10,15 @@
     — recovery simply skips WAL records whose index the snapshot
     already covers.
 
-    On [open_], recovery loads the newest valid snapshot (a torn temp
-    file or corrupt snapshot is discarded), scans the WAL, truncates
-    any torn or CRC-corrupt tail, and returns the surviving payloads.
+    On [open_], recovery loads the snapshot (a leftover temp file from
+    an aborted snapshot is discarded), scans the WAL, truncates any
+    torn or CRC-corrupt tail, and returns the surviving payloads.  A
+    damaged [snapshot.bin] (short, wrong magic, wrong length or CRC
+    mismatch) is refused with {!Damaged_snapshot}, not treated as
+    absent: the WAL records it covered were truncated when it was
+    written, so resuming without it would silently drop that history.
+    No crash point leaves one behind, since a snapshot only appears by
+    rename after its temp file is fsynced.
 
     [append] returns only after the record is fsynced: a record is
     either durable or (on a torn tail) invisible after recovery, never
@@ -20,8 +26,11 @@
 
 type t
 
+exception Damaged_snapshot of string
+(** The message names the file and what is wrong with it. *)
+
 type recovered = {
-  r_snapshot : string option;  (** newest valid snapshot payload *)
+  r_snapshot : string option;  (** the snapshot payload, if any *)
   r_records : (int * string) list;
       (** WAL payloads not covered by the snapshot, ascending index *)
   r_truncated_bytes : int;  (** torn/corrupt WAL tail bytes dropped *)
@@ -29,7 +38,8 @@ type recovered = {
 
 val open_ : ?crash:Crash_plan.t -> dir:string -> unit -> t * recovered
 (** Creates [dir] if needed.  [crash] injects deterministic failures at
-    every subsequent write opportunity (see {!Crash_plan}). *)
+    every subsequent write opportunity (see {!Crash_plan}).  Raises
+    {!Damaged_snapshot} if [dir/snapshot.bin] exists but is damaged. *)
 
 val append : t -> string -> int
 (** Append one record; returns its index.  Durable once it returns. *)

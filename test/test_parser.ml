@@ -97,6 +97,26 @@ let parse_error_reports_position =
       with Parser.Parse_error { line; _ } ->
         Alcotest.(check int) "line 1" 1 line)
 
+(* Input that ends mid-rule, mid-body or mid-declaration points at
+   where it ended (just past the last character), not at 0:0. *)
+let end_of_input_position =
+  Alcotest.test_case "end-of-input errors point where the input ended"
+    `Quick (fun () ->
+      List.iter
+        (fun (src, want) ->
+          match Parser.parse_program src with
+          | _ -> Alcotest.failf "expected Parse_error for %S" src
+          | exception Parser.Parse_error { line; col; _ } ->
+              Alcotest.(check (pair int int))
+                (Printf.sprintf "position for %S" src)
+                want (line, col))
+        [
+          ("p(x) :- q(x", (1, 12));
+          ("p(x) :-", (1, 8));
+          ("p(x) :- q(x).\np(x)", (2, 5));
+          ("p(x).\n.decl q(x: symbol,\n", (3, 1));
+        ])
+
 let unterminated_string_rejected =
   Alcotest.test_case "unterminated strings rejected" `Quick (fun () ->
       try
@@ -255,6 +275,7 @@ let () =
           directives_skipped;
           multi_rule_program;
           parse_error_reports_position;
+          end_of_input_position;
           unterminated_string_rejected;
         ] );
       ( "round-trip",

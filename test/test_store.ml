@@ -5,8 +5,9 @@
      byte-at-a-time reference on any substring and over any split into
      pieces, WAL framing round-trips, torn tails and CRC-corrupt
      records truncate to the last valid record, snapshots commit
-     atomically and absorb the WAL prefix they cover, and a
-     deterministic crash sweep over every write opportunity of a fixed
+     atomically and absorb the WAL prefix they cover, a damaged
+     snapshot.bin is refused rather than skipped, and a deterministic
+     crash sweep over every write opportunity of a fixed
      append/snapshot script leaves a clean prefix of the record stream;
    - satellites: Engine.dump_facts survives a simulated partial write
      (stale temp files are invisible to readers), and a huge 429
@@ -18,11 +19,13 @@
      stream (dedup by al_seq) and converges to the identical report,
      and its first life's snapshot.bin and wal.log match
      golden/store_format.golden; a reorg-storm lane restarted
-     mid-rewind still matches the clean monitor's alert keys;
+     mid-rewind still matches the clean monitor's alert keys; a rule
+     added across a restart alerts on the whole history;
    - fleet crash sweep: the qcheck property "crash at any injected
      write point, restart, resume == uninterrupted run" over a
-     nomad/ronin/attack-pack fleet at --jobs 1 and 4 (full 1..N sweep
-     under XCW_CRASH_FULL=1, i.e. the @crash alias);
+     nomad/ronin/attack-pack/exit fleet at --jobs 1 and 4, WAL and
+     snapshot write points alike (full 1..N sweep under
+     XCW_CRASH_FULL=1, i.e. the @crash alias);
    - golden: the post-restart fleet health table is pinned in
      golden/recovery.golden, and a split (run, stop, resume) fleet run
      reproduces the uninterrupted emission stream byte for byte. *)
@@ -292,6 +295,51 @@ let snapshot_recovery =
       Alcotest.(check int) "indices continue past the snapshot" 4
         (Store.append t2 "d");
       Store.close t2)
+
+(* The WAL records a snapshot covers are truncated once it is written,
+   so a damaged snapshot.bin cannot be skipped without losing them:
+   opening the store refuses it, naming the file, and leaves it as
+   found. *)
+let damaged_snapshot_refused =
+  Alcotest.test_case "a damaged snapshot.bin is refused, not skipped" `Quick
+    (fun () ->
+      let dir = fresh_dir () in
+      let t, _ = Store.open_ ~dir () in
+      ignore (Store.append t "a");
+      Store.snapshot t [ "state-after-1" ];
+      Store.close t;
+      let snap = Filename.concat dir "snapshot.bin" in
+      let good = read_file snap in
+      let refused what damaged =
+        write_file snap damaged;
+        (match Store.open_ ~dir () with
+        | t, _ ->
+            Store.close t;
+            Alcotest.failf "%s: the store opened" what
+        | exception Store.Damaged_snapshot msg ->
+            Alcotest.(check bool)
+              (what ^ ": the error names the file")
+              true
+              (String.starts_with ~prefix:snap msg));
+        Alcotest.(check string) (what ^ ": left as found") damaged
+          (read_file snap)
+      in
+      let flip off =
+        let raw = Bytes.of_string good in
+        Bytes.set raw off (Char.chr (Char.code (Bytes.get raw off) lxor 0x01));
+        Bytes.to_string raw
+      in
+      (* Magic, payload length, CRC, then the last payload byte. *)
+      List.iter
+        (fun off -> refused (Printf.sprintf "byte %d flipped" off) (flip off))
+        [ 0; 16; 24; String.length good - 1 ];
+      refused "cut short" (String.sub good 0 (String.length good - 1));
+      refused "cut inside the header" (String.sub good 0 10);
+      write_file snap good;
+      let t, r = Store.open_ ~dir () in
+      Store.close t;
+      Alcotest.(check (option string)) "the intact snapshot still opens"
+        (Some "state-after-1") r.Store.r_snapshot)
 
 (* Deterministic store-level crash sweep: run a fixed append/snapshot
    script once per write opportunity, crashing at each; after every
@@ -613,6 +661,68 @@ let reorg_restart =
       | _ -> Alcotest.fail "missing report");
       Monitor.Checkpoint.close ck2)
 
+(* A snapshot holds what the monitor decoded, not what it derived, so
+   a rule shipped in an upgrade sees the whole history at the first
+   poll after the restart: a monitor checkpointed without
+   deposit_finality_violation and restarted with it alerts on exactly
+   the finality violations a fresh monitor finds. *)
+let rule_added_across_restart =
+  Alcotest.test_case
+    "a rule added across a restart alerts on the whole history" `Quick
+    (fun () ->
+      let built = Xcw_workload.Nomad.build ~seed:42 ~scale:0.01 () in
+      let input =
+        Presets.input_of ~built ~plugin:Xcw_core.Decoder.nomad_plugin
+          ~label:"nomad"
+      in
+      let head c = List.length (Xcw_chain.Chain.all_blocks c) in
+      let sb = head input.Detector.i_source_chain in
+      let tb = head input.Detector.i_target_chain in
+      let shipped = input.Detector.i_program in
+      let older =
+        {
+          Xcw_datalog.Ast.rules =
+            List.filter
+              (fun (r : Xcw_datalog.Ast.rule) ->
+                r.Xcw_datalog.Ast.head.Xcw_datalog.Ast.pred
+                <> Xcw_core.Rules.r_deposit_finality_violation)
+              shipped.Xcw_datalog.Ast.rules;
+        }
+      in
+      let finality alerts =
+        T.alert_keys
+          (List.filter
+             (fun (a : Monitor.alert) ->
+               a.Monitor.al_anomaly.Report.a_class = Report.Finality_violation)
+             alerts)
+      in
+      let dir = fresh_dir () in
+      let ck1 = Monitor.Checkpoint.open_ ~snapshot_every:1 ~dir () in
+      let mon1 =
+        Monitor.create ~checkpoint:ck1 { input with Detector.i_program = older }
+      in
+      let before =
+        finality (Monitor.poll mon1 ~source_block:sb ~target_block:tb)
+      in
+      Monitor.Checkpoint.close ck1;
+      let ck2 = Monitor.Checkpoint.open_ ~snapshot_every:1 ~dir () in
+      let mon2 = Monitor.create ~checkpoint:ck2 input in
+      let after =
+        finality (Monitor.poll mon2 ~source_block:sb ~target_block:tb)
+      in
+      Monitor.Checkpoint.close ck2;
+      let fresh =
+        finality
+          (Monitor.poll (Monitor.create input) ~source_block:sb
+             ~target_block:tb)
+      in
+      Alcotest.(check int) "no finality alert without the rule" 0
+        (List.length before);
+      Alcotest.(check int) "the fresh monitor's finality alerts" 10
+        (List.length fresh);
+      Alcotest.(check (list (triple string string string)))
+        "the restarted monitor emits the same keys" fresh after)
+
 (* ------------------------------------------------------------------ *)
 (* Fleet crash sweep                                                   *)
 
@@ -640,9 +750,12 @@ let render_fleet_stream fas =
 
 (* Drive a durable fleet to [sweep_rounds], restarting (without the
    plan — a process crashes once) whenever the injected crash fires.
-   The consumer dedups by [fa_seq] high-water mark, exactly as the
-   Supervisor docs prescribe.  Returns the merged emission stream and
-   how many crashes were survived. *)
+   Lanes and the supervisor snapshot every 2 rounds, so the crash space
+   holds snapshot write points (torn temp, pre-rename, pre-truncate) as
+   well as WAL ones, and restarts recover from a snapshot plus a WAL
+   tail.  The consumer dedups by [fa_seq] high-water mark, exactly as
+   the Supervisor docs prescribe.  Returns the merged emission stream
+   and how many crashes were survived. *)
 let drive_fleet ~jobs ~dir ~crash =
   let stream = ref [] and hwm = ref (-1) in
   let add fas =
@@ -656,7 +769,10 @@ let drive_fleet ~jobs ~dir ~crash =
   in
   let crashes = ref 0 in
   let rec go crash =
-    let sup = Sup.create ~ndomains:jobs ~state_dir:dir ?crash (sweep_lanes ()) in
+    let sup =
+      Sup.create ~ndomains:jobs ~state_dir:dir ?crash ~snapshot_every:2
+        (sweep_lanes ())
+    in
     add (Sup.replayed sup);
     match
       while Sup.rounds sup < sweep_rounds do
@@ -809,11 +925,16 @@ let () =
           QCheck_alcotest.to_alcotest prop_crc_pieces;
         ] );
       ( "wal",
-        [ wal_roundtrip; wal_torn_tail; wal_corrupt_record; snapshot_recovery ]
-      );
+        [
+          wal_roundtrip;
+          wal_torn_tail;
+          wal_corrupt_record;
+          snapshot_recovery;
+          damaged_snapshot_refused;
+        ] );
       ("crash-store", [ store_crash_sweep ]);
       ("satellites", [ dump_facts_atomic; retry_after_clamped ]);
-      ("monitor", [ monitor_resume; reorg_restart ]);
+      ("monitor", [ monitor_resume; reorg_restart; rule_added_across_restart ]);
       ( "fleet",
         [ QCheck_alcotest.to_alcotest prop_crash_sweep; full_crash_sweep ] );
       ("golden", [ recovery_golden ]);
