@@ -122,18 +122,67 @@ let exit_arg =
            slashing-evasion).  Mutually exclusive with $(b,--bridge) and \
            $(b,--attack).")
 
+(* A flag value the run cannot use is a usage error naming the flag
+   (exit 2), reported when the command line is read: before a scenario
+   is built, and not as an uncaught exception from deep inside a
+   library, or after the whole run. *)
+let usage_error fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "xcw: %s@." msg;
+      exit 2)
+    fmt
+
+(* An int flag [--FLAG] (default [default]) that must be at least
+   [min]. *)
+let int_arg ?(aliases = []) ~min flag default ~docv ~doc =
+  Term.(
+    const (fun n ->
+        if n < min then usage_error "--%s %d must be at least %d" flag n min
+        else n)
+    $ Arg.value
+        (Arg.opt Arg.int default (Arg.info (flag :: aliases) ~docv ~doc)))
+
+(* The first existing prefix of [path] that is not a directory: a
+   directory cannot be created through it. *)
+let rec blocking_prefix path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then None else Some path
+  else
+    let parent = Filename.dirname path in
+    if parent = path then None else blocking_prefix parent
+
+(* An output flag [--FLAG PATH].  A file's directory must exist and the
+   file must not be a directory; a directory ([~dir:true]) is created
+   with its missing parents, so no existing prefix of it may be a
+   non-directory. *)
+let output_arg ?(dir = false) flag ~docv ~doc =
+  let check path =
+    let fail fmt = usage_error ("--%s %s: " ^^ fmt) flag path in
+    let parent = Filename.dirname path in
+    match blocking_prefix (if dir then path else parent) with
+    | Some p -> fail "%s is not a directory" p
+    | None when dir -> ()
+    | None when not (Sys.file_exists parent) ->
+        fail "directory %s does not exist" parent
+    | None when Sys.file_exists path && Sys.is_directory path ->
+        fail "is a directory"
+    | None -> ()
+  in
+  Term.(
+    const (fun path ->
+        Option.iter check path;
+        path)
+    $ Arg.value
+        (Arg.opt (Arg.some Arg.string) None (Arg.info [ flag ] ~docv ~doc)))
+
 (* The scale multiplies traffic counts, so zero, a negative value, NaN
    or infinity is a usage error naming the flag, not a workload. *)
 let scale_arg =
-  let check scale =
-    if Float.is_finite scale && scale > 0. then scale
-    else begin
-      Format.eprintf "xcw: --scale %g must be positive and finite@." scale;
-      exit 2
-    end
-  in
   Term.(
-    const check
+    const (fun scale ->
+        if Float.is_finite scale && scale > 0. then scale
+        else usage_error "--scale %g must be positive and finite" scale)
     $ Arg.(
         value & opt float 0.05
         & info [ "scale" ] ~docv:"S"
@@ -157,17 +206,12 @@ let latency_arg =
            realistic (the paper's calibrated per-bridge node latencies).")
 
 let report_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "report" ] ~docv:"FILE" ~doc:"Write the full report as JSON to $(docv).")
+  output_arg "report" ~docv:"FILE"
+    ~doc:"Write the full report as JSON to $(docv)."
 
 let dataset_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "dataset" ] ~docv:"FILE"
-        ~doc:"Write the labeled cctx dataset as JSON to $(docv).")
+  output_arg "dataset" ~docv:"FILE"
+    ~doc:"Write the labeled cctx dataset as JSON to $(docv)."
 
 let rules_file_arg =
   Arg.(
@@ -200,49 +244,34 @@ let load_rules = function
       | rules -> { Xcw_datalog.Ast.rules })
 
 let dataset_csv_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "dataset-csv" ] ~docv:"FILE"
-        ~doc:"Write the labeled cctx dataset as CSV to $(docv).")
+  output_arg "dataset-csv" ~docv:"FILE"
+    ~doc:"Write the labeled cctx dataset as CSV to $(docv)."
 
 let dump_facts_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "dump-facts" ] ~docv:"DIR"
-        ~doc:
-          "Write the full fact base (input and derived relations) as \
-           tab-separated .facts files in $(docv) — Souffle's input \
-           format, for cross-validation against the original artifact.")
+  output_arg ~dir:true "dump-facts" ~docv:"DIR"
+    ~doc:
+      "Write the full fact base (input and derived relations) as \
+       tab-separated .facts files in $(docv) — Souffle's input format, \
+       for cross-validation against the original artifact."
 
 let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Write every metric recorded during the run (RPC, decoder, \
-           Datalog engine, monitor) as a Prometheus text exposition to \
-           $(docv).")
+  output_arg "metrics" ~docv:"FILE"
+    ~doc:
+      "Write every metric recorded during the run (RPC, decoder, Datalog \
+       engine, monitor) as a Prometheus text exposition to $(docv)."
 
 let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write the recorded spans (one JSON object per line: name, \
-           attributes, start, duration, nesting depth) to $(docv).")
+  output_arg "trace" ~docv:"FILE"
+    ~doc:
+      "Write the recorded spans (one JSON object per line: name, \
+       attributes, start, duration, nesting depth) to $(docv)."
 
 let endpoints_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "endpoints" ] ~docv:"N"
-        ~doc:
-          "Independent RPC endpoints per chain.  Above 1 every read goes \
-           through a Byzantine-tolerant k-of-n quorum pool that \
-           cross-validates responses by content.")
+  int_arg ~min:1 "endpoints" 1 ~docv:"N"
+    ~doc:
+      "Independent RPC endpoints per chain.  Above 1 every read goes \
+       through a Byzantine-tolerant k-of-n quorum pool that \
+       cross-validates responses by content."
 
 let quorum_arg =
   Arg.(
@@ -253,21 +282,15 @@ let quorum_arg =
            the pool serves it (ignored with a single endpoint).")
 
 let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Worker domains for Datalog rule evaluation and log decoding.  \
-           The default 1 runs the sequential code paths untouched; any \
-           value produces an identical report (the cross-chain program's \
-           strata are non-recursive, so even derivation order is \
-           reproduced bit-for-bit).")
+  int_arg ~aliases:[ "j" ] ~min:1 "jobs" 1 ~docv:"N"
+    ~doc:
+      "Worker domains for Datalog rule evaluation and log decoding.  The \
+       default 1 runs the sequential code paths untouched; any value \
+       produces an identical report (the cross-chain program's strata \
+       are non-recursive, so even derivation order is reproduced \
+       bit-for-bit)."
 
 let apply_jobs input jobs =
-  if jobs < 1 then begin
-    Format.eprintf "xcw: --jobs %d must be at least 1@." jobs;
-    exit 2
-  end;
   if jobs = 1 then input else { input with Detector.i_ndomains = jobs }
 
 let byzantine_arg =
@@ -516,12 +539,6 @@ let opening_state_dir state_dir f =
 let monitor_cmd =
   let run kind scale seed interval_hours endpoints quorum byzantine jobs
       state_dir metrics_file trace_file =
-    (* The replay loop advances by the interval: a non-positive one
-       would never reach the window's end. *)
-    if interval_hours < 1 then begin
-      Format.eprintf "xcw: --interval %d must be at least 1@." interval_hours;
-      exit 2
-    end;
     let built, plugin = build_scenario kind scale seed in
     let module Monitor = Xcw_core.Monitor in
     let module Chain = Xcw_chain.Chain in
@@ -605,10 +622,10 @@ let monitor_cmd =
     Option.iter Monitor.Checkpoint.close ckpt;
     write_observability metrics_file trace_file
   in
+  (* The replay loop advances by the interval: a non-positive one
+     would never reach the window's end. *)
   let interval_arg =
-    Arg.(
-      value & opt int 24
-      & info [ "interval" ] ~docv:"HOURS" ~doc:"Polling interval in hours.")
+    int_arg ~min:1 "interval" 24 ~docv:"HOURS" ~doc:"Polling interval in hours."
   in
   Cmd.v
     (Cmd.info "monitor"
@@ -781,32 +798,24 @@ let fleet_cmd =
              its own scenario seed.")
   in
   let generics_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "generics" ] ~docv:"N"
-          ~doc:"Append $(docv) extra generic-bridge lanes to the fleet.")
+    int_arg ~min:0 "generics" 0 ~docv:"N"
+      ~doc:"Append $(docv) extra generic-bridge lanes to the fleet."
   in
   let rounds_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "rounds" ] ~docv:"N" ~doc:"Fleet poll rounds to run.")
+    int_arg ~min:0 "rounds" 12 ~docv:"N" ~doc:"Fleet poll rounds to run."
   in
   let sync_rounds_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "sync-rounds" ] ~docv:"N"
-          ~doc:
-            "Rounds over which each lane's schedule replays its scenario \
-             window before holding at the chain heads.")
+    int_arg ~min:1 "sync-rounds" 8 ~docv:"N"
+      ~doc:
+        "Rounds over which each lane's schedule replays its scenario \
+         window before holding at the chain heads."
   in
   let fleet_jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains polling lanes concurrently.  Fleet output is \
-             identical at any value (lanes are polled in index order and \
-             merged deterministically).")
+    int_arg ~aliases:[ "j" ] ~min:1 "jobs" 1 ~docv:"N"
+      ~doc:
+        "Worker domains polling lanes concurrently.  Fleet output is \
+         identical at any value (lanes are polled in index order and \
+         merged deterministically)."
   in
   let fault_lane_arg =
     Arg.(
@@ -829,21 +838,23 @@ let fleet_cmd =
              untouched (repeatable).")
   in
   let budget_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget" ] ~docv:"BLOCKS"
-          ~doc:
-            "Per-round poll budget: each lane's cursors advance at most \
-             $(docv) blocks per side per round.")
+    Term.(
+      const (function
+        | Some b when b < 1 -> usage_error "--budget %d must be at least 1" b
+        | budget -> budget)
+      $ Arg.(
+          value
+          & opt (some int) None
+          & info [ "budget" ] ~docv:"BLOCKS"
+              ~doc:
+                "Per-round poll budget: each lane's cursors advance at \
+                 most $(docv) blocks per side per round (at least 1)."))
   in
   let window_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "dedup-window" ] ~docv:"ROUNDS"
-          ~doc:
-            "Alert-bus dedup horizon: identical signatures from several \
-             bridges within $(docv) rounds collapse into one alert.")
+    int_arg ~min:0 "dedup-window" 16 ~docv:"ROUNDS"
+      ~doc:
+        "Alert-bus dedup horizon: identical signatures from several \
+         bridges within $(docv) rounds collapse into one alert."
   in
   Cmd.v
     (Cmd.info "fleet"

@@ -6,9 +6,11 @@
     tuples through ~30 rules, so join performance matters: relations
     maintain on-demand hash indices keyed by bound column positions.
 
-    Unsupported (not needed by the cross-chain rules): aggregation,
-    arithmetic in rule heads, and non-stratifiable negation (rejected
-    with [Not_stratifiable]). *)
+    Aggregation is supported only as declared grouped sums over EDB
+    relations, computed before the first stratum ({!aggregate}).
+    Unsupported (not needed by the cross-chain rules): aggregation over
+    rule output, arithmetic in rule heads, and non-stratifiable
+    negation (rejected with [Not_stratifiable]). *)
 
 open Ast
 module Metrics = Xcw_obs.Metrics
@@ -54,6 +56,134 @@ module Relation = struct
 
   module Ktbl = Hashtbl.Make (Key)
 
+  (* O(1) slot and shard picks over packed-int keys.  Packed constants
+     are far from uniform in their low bits — string constants are
+     sequential intern ids shifted left with the tag bit set (all odd),
+     ints are all even — so masking a raw sum would use half the slots
+     or shards at best.  Re-mixing the accumulated key hash with a
+     multiply–xor–shift finalizer (murmur3-style) avalanches the low
+     bits before the mask; the distribution test in test_interned.ml
+     pins this property. *)
+  let mix k =
+    let h = k * 0x9E3779B1 in
+    let h = h lxor (h lsr 16) in
+    let h = h * 0x85EBCA77 in
+    h lxor (h lsr 13)
+
+  (* The one hash table, behind a relation's tuple set and every index
+     shard: keys in insertion order, each key's hash cached beside it,
+     and an open-addressing slot table over them, instead of a
+     [Ktbl.t]:
+
+     - a probe or insert hashes its key {e once} (stdlib hash tables
+       hash again per operation, so a mem-then-insert pair hashes a new
+       key twice);
+     - slot probes reject a non-equal key on a one-word hash compare
+       before touching the arrays, and growing the slot table re-places
+       entries from their cached hashes without re-hashing a key;
+     - iteration order is insertion order by construction — stable,
+       load-order-reproducible, and shared for free by a relation's
+       [iter], [to_list] and [to_array] (the latter a plain
+       [Array.sub]);
+     - no per-entry list cells: keys, hashes and slots are flat arrays.
+
+     A slot stores (entry index + 1), 0 meaning empty; load factor
+     ≤ 1/2.  There is no deletion — [table_clear] empties the table. *)
+  type table = {
+    mutable keys : int array array;  (* entries [0, n) live *)
+    mutable hashes : int array;  (* cached [Key.hash] per entry *)
+    mutable n : int;
+    mutable slots : int array;  (* power-of-two length *)
+  }
+
+  let table_create cap =
+    let cap = max 8 cap in
+    let slots = ref 32 in
+    while !slots < 2 * cap do
+      slots := 2 * !slots
+    done;
+    {
+      keys = Array.make cap [||];
+      hashes = Array.make cap 0;
+      n = 0;
+      slots = Array.make !slots 0;
+    }
+
+  (* Locate [key] (whose hash is [h]): returns the slot {e content}
+     ([entry index + 1]) when present, and [-(s + 1)] for the first
+     empty slot [s] of its probe sequence when absent. *)
+  let table_find t (h : int) (key : int array) =
+    let slots = t.slots in
+    let hashes = t.hashes in
+    let keys = t.keys in
+    let mask = Array.length slots - 1 in
+    let i = ref (mix h land mask) in
+    let res = ref 0 in
+    let searching = ref true in
+    while !searching do
+      let e = Array.unsafe_get slots !i in
+      if e = 0 then begin
+        res := -(!i + 1);
+        searching := false
+      end
+      else if
+        Array.unsafe_get hashes (e - 1) = h
+        && Key.equal (Array.unsafe_get keys (e - 1)) key
+      then begin
+        res := e;
+        searching := false
+      end
+      else i := (!i + 1) land mask
+    done;
+    !res
+
+  (* Double the slot table, re-placing every live entry from its cached
+     hash — no key is re-hashed. *)
+  let table_grow t =
+    let size = 2 * Array.length t.slots in
+    let slots = Array.make size 0 in
+    let mask = size - 1 in
+    for j = 0 to t.n - 1 do
+      let i = ref (mix (Array.unsafe_get t.hashes j) land mask) in
+      while Array.unsafe_get slots !i <> 0 do
+        i := (!i + 1) land mask
+      done;
+      Array.unsafe_set slots !i (j + 1)
+    done;
+    t.slots <- slots
+
+  let resize a len fill =
+    let b = Array.make len fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* Append [key], absent by [f = table_find t h key], and return its
+     entry index.  The table owns [key] afterwards. *)
+  let table_append t h key f =
+    let i = t.n in
+    if i = Array.length t.keys then begin
+      t.keys <- resize t.keys (2 * i) [||];
+      t.hashes <- resize t.hashes (2 * i) 0
+    end;
+    Array.unsafe_set t.keys i key;
+    Array.unsafe_set t.hashes i h;
+    let f =
+      if 2 * (i + 1) > Array.length t.slots then begin
+        (* The empty slot [f] names is stale after growth. *)
+        table_grow t;
+        table_find t h key
+      end
+      else f
+    in
+    t.slots.(-f - 1) <- i + 1;
+    t.n <- i + 1;
+    i
+
+  let table_clear t =
+    Array.fill t.keys 0 t.n [||];
+    t.n <- 0;
+    Array.fill t.slots 0 (Array.length t.slots) 0
+
   (* An index is sharded by key hash into a fixed number of sub-tables
      so a large build can be filled by several domains at once — one
      task per shard, no shared mutable table.  The shard count is a
@@ -62,22 +192,12 @@ module Relation = struct
      shard, the tuples of one key are inserted in relation-iteration
      order exactly as an unsharded fill would insert them, so each
      per-key candidate list is identical to a sequential on-demand
-     build.
-
-     Each shard is an open-addressing map from projected key to the
-     key's candidate list, with the key hash cached per entry — the
-     same layout as the relation's tuple set, and for the same
-     reasons: one hash per probe or insert (the hash picks the shard
-     {e and} the slot, where the old [Hashtbl]-backed shards hashed
-     once for the shard and again inside the table), hash-first
-     rejection, and growth without re-hashing.  A slot stores (entry
-     index + 1), 0 meaning empty; load factor ≤ 1/2. *)
+     build.  A shard's table maps a projected key to its entry index in
+     the candidate-list array; one hash per probe or insert picks the
+     shard {e and} the slot. *)
   type ishard = {
-    mutable sk : int array array;  (* projected key per entry *)
-    mutable sh : int array;  (* cached key hash per entry *)
-    mutable sv : tuple list ref array;  (* candidates, newest first *)
-    mutable sn : int;
-    mutable sslots : int array;  (* open addressing; power-of-two length *)
+    st : table;  (* projected keys *)
+    mutable sv : tuple list ref array;  (* candidates per key, newest first *)
   }
 
   type index = {
@@ -91,32 +211,9 @@ module Relation = struct
            tasks (one task per index, disjoint scratches). *)
   }
 
-  (* Tuple storage is an insertion log plus an open-addressing slot
-     table over it, instead of a [unit Ktbl.t]:
-
-     - [add]/[mem] compute the tuple hash {e once} (stdlib hash tables
-       hash again per operation, so the old mem-then-insert pair
-       hashed every new tuple twice and every duplicate once more);
-     - hashes are cached per log entry, so growing the slot table
-       re-places entries without ever re-hashing a tuple, and slot
-       probes reject non-equal tuples on a one-word hash compare
-       before touching the arrays;
-     - iteration order is insertion order by construction — stable,
-       load-order-reproducible, and shared for free by [iter],
-       [to_list] and [to_array] (the latter a plain [Array.sub], where
-       the hash-table fold used to walk every bucket);
-     - no per-entry list cells: the log and slot tables are flat int
-       and pointer arrays.
-
-     The slot table keeps load factor ≤ 1/2; a slot stores (log index
-     + 1), 0 meaning empty.  There is no deletion — [clear] resets the
-     whole relation. *)
   type t = {
     mutable arity : int option;
-    mutable log : tuple array;  (* entries [0, n) live, insertion order *)
-    mutable hashes : int array;  (* cached [Key.hash] per log entry *)
-    mutable n : int;
-    mutable slots : int array;  (* open addressing; power-of-two length *)
+    tuples : table;
     (* position list -> key-hash-sharded (projected key -> tuples) *)
     indices : (int list, index) Hashtbl.t;
     (* same indices as a list — [add] maintains every index per tuple,
@@ -126,80 +223,18 @@ module Relation = struct
   }
 
   let nshards = 16
-
-  (* O(1) shard pick over packed-int keys.  Packed constants are far
-     from uniform in their low bits — string constants are sequential
-     intern ids shifted left with the tag bit set (all odd), ints are
-     all even — so taking [land (nshards - 1)] of a raw sum would use
-     half the shards at best.  Re-mixing the accumulated key hash with
-     a multiply–xor–shift finalizer (murmur3-style) avalanches the low
-     bits before the mask; the distribution test in test_interned.ml
-     pins this property. *)
-  let mix k =
-    let h = k * 0x9E3779B1 in
-    let h = h lxor (h lsr 16) in
-    let h = h * 0x85EBCA77 in
-    h lxor (h lsr 13)
-
   let shard_of_key (key : int array) = mix (Key.hash key) land (nshards - 1)
 
   let create () =
     {
       arity = None;
-      log = Array.make 16 [||];
-      hashes = Array.make 16 0;
-      n = 0;
-      slots = Array.make 64 0;
+      tuples = table_create 16;
       indices = Hashtbl.create 4;
       index_list = [];
     }
 
-  let size t = t.n
-
-  (* Locate [tuple] (whose hash is [h]) in the slot table: returns the
-     slot {e content} ([log index + 1]) when present, and [-(s + 1)]
-     for the first empty slot [s] of its probe sequence when absent. *)
-  let find_slot t (h : int) (tuple : tuple) =
-    let slots = t.slots in
-    let hashes = t.hashes in
-    let log = t.log in
-    let mask = Array.length slots - 1 in
-    let i = ref (mix h land mask) in
-    let res = ref 0 in
-    let searching = ref true in
-    while !searching do
-      let e = Array.unsafe_get slots !i in
-      if e = 0 then begin
-        res := -(!i + 1);
-        searching := false
-      end
-      else if
-        Array.unsafe_get hashes (e - 1) = h
-        && Key.equal (Array.unsafe_get log (e - 1)) tuple
-      then begin
-        res := e;
-        searching := false
-      end
-      else i := (!i + 1) land mask
-    done;
-    !res
-
-  let mem t tuple = find_slot t (Key.hash tuple) tuple > 0
-
-  (* Double the slot table, re-placing every live entry from its cached
-     hash — no tuple is re-hashed. *)
-  let grow_slots t =
-    let size = 2 * Array.length t.slots in
-    let slots = Array.make size 0 in
-    let mask = size - 1 in
-    for j = 0 to t.n - 1 do
-      let i = ref (mix (Array.unsafe_get t.hashes j) land mask) in
-      while Array.unsafe_get slots !i <> 0 do
-        i := (!i + 1) land mask
-      done;
-      Array.unsafe_set slots !i (j + 1)
-    done;
-    t.slots <- slots
+  let size t = t.tuples.n
+  let mem t tuple = table_find t.tuples (Key.hash tuple) tuple > 0
 
   let check_arity t tuple =
     match t.arity with
@@ -219,59 +254,8 @@ module Relation = struct
     key
 
   let ishard_create cap =
-    let cap = max 8 cap in
-    let slots = ref 32 in
-    while !slots < 2 * cap do
-      slots := 2 * !slots
-    done;
-    {
-      sk = Array.make cap [||];
-      sh = Array.make cap 0;
-      sv = Array.make cap (ref []);
-      sn = 0;
-      sslots = Array.make !slots 0;
-    }
-
-  (* Mirrors [find_slot]: positive slot content ([entry index + 1])
-     when [key] is present, [-(s + 1)] for the first empty slot [s]
-     when absent. *)
-  let ishard_find_slot (s : ishard) (h : int) (key : int array) =
-    let slots = s.sslots in
-    let sh = s.sh in
-    let sk = s.sk in
-    let mask = Array.length slots - 1 in
-    let i = ref (mix h land mask) in
-    let res = ref 0 in
-    let searching = ref true in
-    while !searching do
-      let e = Array.unsafe_get slots !i in
-      if e = 0 then begin
-        res := -(!i + 1);
-        searching := false
-      end
-      else if
-        Array.unsafe_get sh (e - 1) = h
-        && Key.equal (Array.unsafe_get sk (e - 1)) key
-      then begin
-        res := e;
-        searching := false
-      end
-      else i := (!i + 1) land mask
-    done;
-    !res
-
-  let ishard_grow_slots (s : ishard) =
-    let size = 2 * Array.length s.sslots in
-    let slots = Array.make size 0 in
-    let mask = size - 1 in
-    for j = 0 to s.sn - 1 do
-      let i = ref (mix (Array.unsafe_get s.sh j) land mask) in
-      while Array.unsafe_get slots !i <> 0 do
-        i := (!i + 1) land mask
-      done;
-      Array.unsafe_set slots !i (j + 1)
-    done;
-    s.sslots <- slots
+    let st = table_create cap in
+    { st; sv = Array.make (Array.length st.keys) (ref []) }
 
   (* Cons [tuple] onto [key]'s candidate list, creating the entry if
      the key is new.  [h] must be [Key.hash key].  [~copy_key] copies
@@ -279,48 +263,21 @@ module Relation = struct
      caller owns [key] outright (the parallel fill, whose key arrays
      are freshly projected per tuple). *)
   let ishard_add (s : ishard) (h : int) (key : int array) ~copy_key tuple =
-    let f = ishard_find_slot s h key in
+    let f = table_find s.st h key in
     if f > 0 then begin
       let l = Array.unsafe_get s.sv (f - 1) in
       l := tuple :: !l
     end
     else begin
-      let cap = Array.length s.sk in
-      if s.sn = cap then begin
-        let sk = Array.make (2 * cap) [||] in
-        Array.blit s.sk 0 sk 0 s.sn;
-        let sh = Array.make (2 * cap) 0 in
-        Array.blit s.sh 0 sh 0 s.sn;
-        let sv = Array.make (2 * cap) (ref []) in
-        Array.blit s.sv 0 sv 0 s.sn;
-        s.sk <- sk;
-        s.sh <- sh;
-        s.sv <- sv
-      end;
-      s.sk.(s.sn) <- (if copy_key then Array.copy key else key);
-      s.sh.(s.sn) <- h;
-      s.sv.(s.sn) <- ref [ tuple ];
-      let slot =
-        if 2 * (s.sn + 1) > Array.length s.sslots then begin
-          ishard_grow_slots s;
-          let mask = Array.length s.sslots - 1 in
-          let i = ref (mix h land mask) in
-          while Array.unsafe_get s.sslots !i <> 0 do
-            i := (!i + 1) land mask
-          done;
-          !i
-        end
-        else -f - 1
-      in
-      s.sslots.(slot) <- s.sn + 1;
-      s.sn <- s.sn + 1
+      let i = table_append s.st h (if copy_key then Array.copy key else key) f in
+      if i = Array.length s.sv then
+        s.sv <- resize s.sv (Array.length s.st.keys) (ref []);
+      s.sv.(i) <- ref [ tuple ]
     end
 
   let ishard_reset (s : ishard) =
-    Array.fill s.sk 0 s.sn [||];
-    Array.fill s.sv 0 s.sn (ref []);
-    s.sn <- 0;
-    Array.fill s.sslots 0 (Array.length s.sslots) 0
+    Array.fill s.sv 0 s.st.n (ref []);
+    table_clear s.st
 
   let index_insert (idx : index) tuple =
     let key = idx.ix_scratch in
@@ -337,59 +294,34 @@ module Relation = struct
   let add t tuple =
     check_arity t tuple;
     let h = Key.hash tuple in
-    let f = find_slot t h tuple in
-    if f > 0 then false
-    else begin
-      let cap = Array.length t.log in
-      if t.n = cap then begin
-        let log = Array.make (2 * cap) [||] in
-        Array.blit t.log 0 log 0 t.n;
-        let hashes = Array.make (2 * cap) 0 in
-        Array.blit t.hashes 0 hashes 0 t.n;
-        t.log <- log;
-        t.hashes <- hashes
-      end;
-      Array.unsafe_set t.log t.n tuple;
-      Array.unsafe_set t.hashes t.n h;
-      let s =
-        if 2 * (t.n + 1) > Array.length t.slots then begin
-          grow_slots t;
-          (* The empty slot from [find_slot] is stale now. *)
-          let mask = Array.length t.slots - 1 in
-          let i = ref (mix h land mask) in
-          while Array.unsafe_get t.slots !i <> 0 do
-            i := (!i + 1) land mask
-          done;
-          !i
-        end
-        else -f - 1
-      in
-      t.slots.(s) <- t.n + 1;
-      t.n <- t.n + 1;
-      List.iter (fun idx -> index_insert idx tuple) t.index_list;
-      true
-    end
+    let f = table_find t.tuples h tuple in
+    f < 0
+    && begin
+         ignore (table_append t.tuples h tuple f);
+         List.iter (fun idx -> index_insert idx tuple) t.index_list;
+         true
+       end
 
   (* Insertion order — which [to_list] and [to_array] share, so
      parallel chunking (which partitions the array) visits candidates
-     in exactly the order the sequential path does.  Log and count are
+     in exactly the order the sequential path does.  Keys and count are
      latched up front: entries below [n] are immutable once appended,
      so this behaves as a snapshot even if [f] adds tuples (a
      recursive rule joining over its own head). *)
   let iter t f =
-    let log = t.log and n = t.n in
+    let log = t.tuples.keys and n = t.tuples.n in
     for i = 0 to n - 1 do
       f (Array.unsafe_get log i)
     done
 
   let to_list t =
     let l = ref [] in
-    for i = t.n - 1 downto 0 do
-      l := Array.unsafe_get t.log i :: !l
+    for i = t.tuples.n - 1 downto 0 do
+      l := Array.unsafe_get t.tuples.keys i :: !l
     done;
     !l
 
-  let to_array t = Array.sub t.log 0 t.n
+  let to_array t = Array.sub t.tuples.keys 0 t.tuples.n
 
   (** [clear t] removes every tuple but keeps the arity and the set of
       registered index position-lists, so indices built by earlier
@@ -397,9 +329,7 @@ module Relation = struct
       retraction primitive for re-deriving non-monotonic relations in
       place. *)
   let clear t =
-    Array.fill t.log 0 t.n [||];
-    t.n <- 0;
-    Array.fill t.slots 0 (Array.length t.slots) 0;
+    table_clear t.tuples;
     Hashtbl.iter (fun _ idx -> Array.iter ishard_reset idx.ix_shards) t.indices
 
   let new_index t positions : index =
@@ -493,7 +423,7 @@ module Relation = struct
   let probe (idx : index) (key : int array) =
     let h = Key.hash key in
     let s = idx.ix_shards.(mix h land (nshards - 1)) in
-    let f = ishard_find_slot s h key in
+    let f = table_find s.st h key in
     if f > 0 then !(Array.unsafe_get s.sv (f - 1)) else []
 
   (** [lookup t positions key] returns all tuples whose projection on
@@ -985,22 +915,11 @@ let eval_ccmp (env : env) op lhs rhs =
       | Eq -> a = b
       | Ne -> a <> b)
 
-(* Fill a probe's flat key from the current environment.  Every
-   [S_var] source is statically guaranteed bound here (see [probe]). *)
-let probe_key (pr : probe) (env : env) : int array =
-  let np = Array.length pr.pr_sources in
-  let key = Array.make np 0 in
-  for j = 0 to np - 1 do
-    key.(j) <-
-      (match Array.unsafe_get pr.pr_sources j with
-      | S_const p -> p
-      | S_var i -> Array.unsafe_get env i)
-  done;
-  key
-
-(* Same, into a caller-owned scratch buffer sized to the probe:
-   [Ktbl.find_opt] only reads the key, so the buffer can be refilled
-   for the next probe without ever escaping. *)
+(* Fill a probe's flat key from the current environment, into a
+   caller-owned scratch buffer sized to the probe: a lookup only reads
+   the key, so the buffer can be refilled for the next probe without
+   ever escaping.  Every [S_var] source is statically guaranteed bound
+   here (see [probe]). *)
 let probe_key_into (pr : probe) (env : env) (key : int array) =
   for j = 0 to Array.length key - 1 do
     Array.unsafe_set key j
@@ -1310,117 +1229,61 @@ let with_stratum obs i recursive ~mode f =
         r)
   end
 
-(* Evaluate one stratum to fixpoint.  [seed] controls round 0: [`Full]
-   evaluates every rule over the whole database (from-scratch
-   semantics); [`Deltas fresh] evaluates only body occurrences of
-   predicates present in [fresh], restricted to those fresh tuples —
-   semi-naive *insertion*, sound when the stratum is monotone w.r.t.
-   the changed predicates.  [on_new] fires for every tuple actually
-   added to the database (across all rounds). *)
-let eval_stratum_seq (db : db) (stats : stats) ~naive ~obs
-    (stratum_rules : rule list) (recursive : bool)
-    ~(seed : [ `Full | `Deltas of (string, Relation.tuple list) Hashtbl.t ])
-    ~(on_new : string -> Relation.tuple -> unit) : unit =
-  let compiled = List.map compile_rule stratum_rules in
-  let stratum_preds =
-    List.sort_uniq compare (List.map (fun r -> r.head.pred) stratum_rules)
-  in
-  let in_stratum p = List.mem p stratum_preds in
-  (* delta per predicate: tuples added in the previous round. *)
-  let delta : (string, Relation.tuple list) Hashtbl.t = Hashtbl.create 8 in
-  let eval_into tbl cr ~delta_at ~delta_tuples =
-    stats.rules_evaluated <- stats.rules_evaluated + 1;
-    let t0 = if obs.eo_live then Unix.gettimeofday () else 0. in
-    (* Resolve the head's relation and delta slot once per rule
-       evaluation, not once per derived tuple — at paper scale a rule
-       can derive hundreds of thousands of tuples, and three
-       string-keyed hash lookups per tuple show up.  The relation is
-       resolved at the {e first} derivation, not eagerly: creating it
-       for a rule that derives nothing would add a spurious empty
-       relation to the database (visible in [dump_facts]). *)
-    let pred = cr.cr_head.c_pred in
-    let rel = ref None in
-    let acc = ref (Option.value (Hashtbl.find_opt tbl pred) ~default:[]) in
-    let acc0 = !acc in
-    eval_rule db cr ~delta_at ~delta_tuples ~on_derived:(fun tuple ->
-        let r =
-          match !rel with
-          | Some r -> r
-          | None ->
-              let r = relation db pred in
-              rel := Some r;
-              r
-        in
-        if Relation.add r tuple then begin
-          stats.tuples_derived <- stats.tuples_derived + 1;
-          acc := tuple :: !acc;
-          on_new pred tuple
-        end);
-    if not (!acc == acc0) then Hashtbl.replace tbl pred !acc;
-    if obs.eo_live then
-      match List.assq_opt cr.cr_source obs.eo_rule_hist with
-      | Some h -> Metrics.Histogram.observe h (Unix.gettimeofday () -. t0)
-      | None -> ()
-  in
-  (* Round 0. *)
-  (match seed with
-  | `Full ->
-      List.iter
-        (fun cr -> eval_into delta cr ~delta_at:None ~delta_tuples:[])
-        compiled
-  | `Deltas fresh ->
-      (* Every new derivable tuple must use at least one fresh tuple at
-         some body position; evaluating each changed occurrence against
-         the (already updated) full database elsewhere covers all new
-         combinations.  Duplicates collapse in [Relation.add]. *)
-      List.iter
-        (fun cr ->
-          Array.iteri
-            (fun idx lit ->
-              match lit with
-              | C_pos (a, _) -> (
-                  match Hashtbl.find_opt fresh a.c_pred with
-                  | Some (_ :: _ as delta_tuples) ->
-                      eval_into delta cr ~delta_at:(Some idx) ~delta_tuples
-                  | _ -> ())
-              | _ -> ())
-            cr.cr_body)
-        compiled);
-  stats.iterations <- stats.iterations + 1;
-  (* Non-recursive strata are complete after one pass (their body
-     predicates all live in earlier strata). *)
-  let continue_ =
-    ref (recursive && Hashtbl.fold (fun _ l acc -> acc || l <> []) delta false)
-  in
-  while !continue_ do
-    stats.iterations <- stats.iterations + 1;
-    let new_delta : (string, Relation.tuple list) Hashtbl.t = Hashtbl.create 8 in
-    if naive then
-      (* Naive: re-evaluate everything on the full database. *)
-      List.iter
-        (fun cr -> eval_into new_delta cr ~delta_at:None ~delta_tuples:[])
-        compiled
-    else
-      (* Semi-naive: for each rule and each body occurrence of a
-         same-stratum predicate, evaluate with that occurrence
-         restricted to the delta. *)
-      List.iter
-        (fun cr ->
-          Array.iteri
-            (fun idx lit ->
-              match lit with
-              | C_pos (a, _) when in_stratum a.c_pred -> (
-                  match Hashtbl.find_opt delta a.c_pred with
-                  | Some (_ :: _ as delta_tuples) ->
-                      eval_into new_delta cr ~delta_at:(Some idx) ~delta_tuples
-                  | _ -> ())
-              | _ -> ())
-            cr.cr_body)
-        compiled;
-    Hashtbl.reset delta;
-    Hashtbl.iter (fun k v -> Hashtbl.replace delta k v) new_delta;
-    continue_ := Hashtbl.fold (fun _ l acc -> acc || l <> []) delta false
-  done
+(* One (rule, delta-occurrence) evaluation job: [oc_delta_at] restricts
+   that positive body literal to [oc_delta_tuples]; [None] evaluates
+   the rule over the whole database. *)
+type occurrence = {
+  oc_cr : compiled_rule;
+  oc_delta_at : int option;
+  oc_delta_tuples : Relation.tuple list;
+}
+
+(* Insert the head tuples that [produce] feeds to its argument: each
+   new one counts as derived, joins [pred]'s entry in the round's
+   delta table [tbl] and fires [on_new].  The relation and the delta
+   entry are resolved once per call, not once per tuple — at paper
+   scale a rule can derive hundreds of thousands of tuples, and three
+   string-keyed hash lookups per tuple show up.  The relation is
+   resolved at the {e first} derivation, not eagerly: creating it for
+   a rule that derives nothing would add a spurious empty relation to
+   the database (visible in [dump_facts]). *)
+let insert_heads (db : db) (stats : stats) tbl ~on_new pred produce =
+  let rel = ref None in
+  let acc = ref (Option.value (Hashtbl.find_opt tbl pred) ~default:[]) in
+  let acc0 = !acc in
+  produce (fun tuple ->
+      let r =
+        match !rel with
+        | Some r -> r
+        | None ->
+            let r = relation db pred in
+            rel := Some r;
+            r
+      in
+      if Relation.add r tuple then begin
+        stats.tuples_derived <- stats.tuples_derived + 1;
+        acc := tuple :: !acc;
+        on_new pred tuple
+      end);
+  if not (!acc == acc0) then Hashtbl.replace tbl pred !acc
+
+let observe_rule obs (cr : compiled_rule) seconds =
+  match List.assq_opt cr.cr_source obs.eo_rule_hist with
+  | Some h -> Metrics.Histogram.observe h seconds
+  | None -> ()
+
+(* The one-domain pass: the occurrences run in turn, each inserting as
+   it derives. *)
+let eval_pass_inline (db : db) (stats : stats) ~obs ~on_new tbl occurrences =
+  List.iter
+    (fun oc ->
+      stats.rules_evaluated <- stats.rules_evaluated + 1;
+      let t0 = if obs.eo_live then Unix.gettimeofday () else 0. in
+      insert_heads db stats tbl ~on_new oc.oc_cr.cr_head.c_pred (fun insert ->
+          eval_rule db oc.oc_cr ~delta_at:oc.oc_delta_at
+            ~delta_tuples:oc.oc_delta_tuples ~on_derived:insert);
+      if obs.eo_live then observe_rule obs oc.oc_cr (Unix.gettimeofday () -. t0))
+    occurrences
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel stratum evaluation                                  *)
@@ -1439,11 +1302,11 @@ let eval_stratum_seq (db : db) (stats : stats) ~naive ~obs
    concatenating chunk outputs in order is {e exactly} the sequential
    derivation sequence; first-come deduplication at merge time then
    reproduces the sequential insertion order bit-for-bit, for any
-   worker count.  Recursive strata synchronize per semi-naive round
-   (workers read the frozen previous-round state), which reaches the
-   same fixpoint — the same tuple sets and derived-tuple counts — but
-   may order insertions differently than the interleaved sequential
-   rounds; the shipped cross-chain program is fully non-recursive. *)
+   worker count.  In a recursive stratum, workers read the state the
+   round started from, while the inline pass inserts as it derives;
+   both reach the same fixpoint — the same tuple sets and derived-tuple
+   counts — but may order insertions differently.  The shipped
+   cross-chain program is fully non-recursive. *)
 
 (* The index position-list each body lookup uses is already compiled
    into its probe ([compile_rule] tracks bound slots left-to-right), so
@@ -1531,42 +1394,35 @@ let first_pos (cr : compiled_rule) =
   in
   go 0
 
-(* One (rule, delta-occurrence) evaluation job, as the sequential
-   [eval_into] call sites produce them. *)
-type par_occurrence = {
-  po_cr : compiled_rule;
-  po_delta_at : int option;
-  po_delta_tuples : Relation.tuple list;
-}
-
 (* The driving literal's candidates are materialized once as an array
    and chunked as contiguous index ranges — no per-chunk sublists to
    cons on the submitter.  Range boundaries never affect the result:
    the merge concatenates chunk outputs in submission order. *)
-let occurrence_chunks (db : db) ~k (oc : par_occurrence) :
+let occurrence_chunks (db : db) ~k (oc : occurrence) :
     (int * Relation.tuple array * int * int) option list =
-  let cr = oc.po_cr in
+  let cr = oc.oc_cr in
   match first_pos cr with
   | None -> [ None ]
   | Some p ->
       let candidates =
-        match oc.po_delta_at with
-        | Some d when d = p -> Array.of_list oc.po_delta_tuples
+        match oc.oc_delta_at with
+        | Some d when d = p -> Array.of_list oc.oc_delta_tuples
         | _ -> (
             match cr.cr_body.(p) with
             | C_pos (a, pr) -> (
                 match Hashtbl.find_opt db.db_rels a.c_pred with
                 | None -> [||]
                 | Some rel -> (
-                    (* The driving literal is the first positive one, so
-                       its probe template holds constants only — the
-                       dummy env is never read. *)
-                    let env : env = Array.make (max 1 cr.cr_nvars) unbound in
                     match pr.pr_positions with
                     | [] -> Relation.to_array rel
                     | positions ->
-                        Array.of_list
-                          (Relation.lookup rel positions (probe_key pr env))))
+                        (* The driving literal is the first positive
+                           one, so its probe template holds constants
+                           only — the dummy env is never read. *)
+                        let env : env = Array.make (max 1 cr.cr_nvars) unbound in
+                        let key = Array.make (List.length positions) 0 in
+                        probe_key_into pr env key;
+                        Array.of_list (Relation.lookup rel positions key)))
             | _ -> assert false)
       in
       let n = Array.length candidates in
@@ -1587,11 +1443,10 @@ let occurrence_chunks (db : db) ~k (oc : par_occurrence) :
         go 0 []
       end
 
-(* Run one pass (the parallel analogue of one sequence of [eval_into]
-   calls): fan the chunks out, then merge derivations back in
-   submission order through the usual add/record/on_new chain. *)
-let eval_pass_parallel (db : db) (stats : stats) ~obs ~pool ~fanout_gauge tbl
-    ~on_new (occurrences : par_occurrence list) =
+(* The pool pass: fan every occurrence's chunks out, then merge the
+   derivations back in submission order through [insert_heads]. *)
+let eval_pass_parallel (db : db) (stats : stats) ~obs ~pool ~fanout_gauge
+    ~on_new tbl occurrences =
   (* Many chunks per domain: the pool's dynamic claiming then evens
      out skewed chunk costs (rules whose matches cluster in one part of
      the candidate list — common here, where a handful of join-heavy
@@ -1599,7 +1454,7 @@ let eval_pass_parallel (db : db) (stats : stats) ~obs ~pool ~fanout_gauge tbl
      and a result slot.  Chunk count never affects the result — the
      merge concatenates chunk outputs in submission order regardless. *)
   let k = 16 * Pool.ndomains pool in
-  resolve_caches db (List.map (fun oc -> oc.po_cr) occurrences);
+  resolve_caches db (List.map (fun oc -> oc.oc_cr) occurrences);
   let jobs =
     List.map
       (fun oc ->
@@ -1607,144 +1462,104 @@ let eval_pass_parallel (db : db) (stats : stats) ~obs ~pool ~fanout_gauge tbl
         (oc, occurrence_chunks db ~k oc))
       occurrences
   in
-  let flat =
-    List.concat_map (fun (oc, chunks) -> List.map (fun c -> (oc, c)) chunks)
+  let thunks =
+    List.concat_map
+      (fun (oc, chunks) ->
+        List.map
+          (fun over () ->
+            let t0 = if obs.eo_live then Unix.gettimeofday () else 0. in
+            let out =
+              eval_rule_partition db oc.oc_cr ~delta_at:oc.oc_delta_at
+                ~delta_tuples:oc.oc_delta_tuples ~over
+            in
+            ((if obs.eo_live then Unix.gettimeofday () -. t0 else 0.), out))
+          chunks)
       jobs
   in
-  let ntasks = List.length flat in
+  let ntasks = List.length thunks in
   Metrics.Counter.add obs.eo_par_tasks ntasks;
   Metrics.Gauge.set fanout_gauge (float_of_int ntasks);
-  let thunks =
-    List.map
-      (fun (oc, over) () ->
-        let t0 = if obs.eo_live then Unix.gettimeofday () else 0. in
-        let out =
-          eval_rule_partition db oc.po_cr ~delta_at:oc.po_delta_at
-            ~delta_tuples:oc.po_delta_tuples ~over
-        in
-        ((if obs.eo_live then Unix.gettimeofday () -. t0 else 0.), out))
-      flat
-  in
-  let results = Pool.run pool thunks in
-  List.iter2
-    (fun (oc, _) (_, out) ->
-      match out with
-      | [] -> ()
-      | out ->
-          let pred = oc.po_cr.cr_head.c_pred in
-          let rel = relation db pred in
-          (* Delta slot resolved once per merged partition, as in the
-             sequential [eval_into]. *)
-          let acc =
-            ref (Option.value (Hashtbl.find_opt tbl pred) ~default:[])
-          in
-          let acc0 = !acc in
+  let results = ref (Pool.run pool thunks) in
+  List.iter
+    (fun (oc, chunks) ->
+      (* Per-rule histograms get each occurrence's summed chunk busy
+         time: one sample per occurrence, as in the inline pass. *)
+      let busy = ref 0. in
+      insert_heads db stats tbl ~on_new oc.oc_cr.cr_head.c_pred (fun insert ->
           List.iter
-            (fun tuple ->
-              if Relation.add rel tuple then begin
-                stats.tuples_derived <- stats.tuples_derived + 1;
-                acc := tuple :: !acc;
-                on_new pred tuple
-              end)
-            out;
-          if not (!acc == acc0) then Hashtbl.replace tbl pred !acc)
-    flat results;
-  if obs.eo_live then begin
-    (* Per-rule histograms get each occurrence's summed chunk busy
-       time: one sample per occurrence, as in sequential mode. *)
-    let rec walk jobs results =
-      match jobs with
-      | [] -> ()
-      | (oc, chunks) :: jobs ->
-          let n = List.length chunks in
-          let rec take n acc results =
-            if n = 0 then (acc, results)
-            else
-              match results with
-              | (dt, _) :: rest -> take (n - 1) (acc +. dt) rest
-              | [] -> (acc, [])
-          in
-          let busy, rest = take n 0. results in
-          (match List.assq_opt oc.po_cr.cr_source obs.eo_rule_hist with
-          | Some h -> Metrics.Histogram.observe h busy
-          | None -> ());
-          walk jobs rest
-    in
-    walk jobs results
-  end
+            (fun _ ->
+              match !results with
+              | (dt, out) :: rest ->
+                  results := rest;
+                  busy := !busy +. dt;
+                  List.iter insert out
+              | [] -> assert false)
+            chunks);
+      if obs.eo_live then observe_rule obs oc.oc_cr !busy)
+    jobs
 
-let eval_stratum_parallel (db : db) (stats : stats) ~naive ~obs ~pool
-    ~fanout_gauge (stratum_rules : rule list) (recursive : bool)
+(* Evaluate one stratum to fixpoint, one semi-naive round at a time;
+   each round's occurrence list goes to one pass — inline on one
+   domain, fanned out over [pool] otherwise.  [seed] sets round 0:
+   [`Full] evaluates every rule over the whole database (from-scratch
+   semantics); [`Deltas fresh] evaluates only body occurrences of
+   predicates present in [fresh], restricted to those fresh tuples —
+   semi-naive insertion, sound when the stratum is monotone w.r.t. the
+   changed predicates.  Every new derivable tuple uses a fresh tuple at
+   some body position, and each occurrence joins against the (already
+   updated) full database elsewhere, so together they cover every new
+   combination; duplicates collapse in [Relation.add].  Each later
+   round restricts the occurrences to the previous round's additions,
+   which are all same-stratum heads (or, [naive], runs every rule in
+   full), until a round adds nothing.  A non-recursive stratum is
+   complete after round 0: its body predicates all live in earlier
+   strata.  [on_new] fires for every tuple actually added. *)
+let eval_stratum (db : db) (stats : stats) ~naive ~obs ~pool ~stratum_i
+    (stratum_rules : rule list) (recursive : bool)
     ~(seed : [ `Full | `Deltas of (string, Relation.tuple list) Hashtbl.t ])
-    ~(on_new : string -> Relation.tuple -> unit) : unit =
+    ~on_new =
   let compiled = List.map compile_rule stratum_rules in
-  prepare_indices db ~pool compiled;
-  let stratum_preds =
-    List.sort_uniq compare (List.map (fun r -> r.head.pred) stratum_rules)
+  let pass =
+    match pool with
+    | None -> eval_pass_inline db stats ~obs ~on_new
+    | Some pool ->
+        prepare_indices db ~pool compiled;
+        let fanout_gauge =
+          Metrics.gauge obs.eo_reg
+            ~labels:[ ("stratum", string_of_int stratum_i) ]
+            "xcw_datalog_parallel_fanout"
+        in
+        eval_pass_parallel db stats ~obs ~pool ~fanout_gauge ~on_new
   in
-  let in_stratum p = List.mem p stratum_preds in
-  let delta : (string, Relation.tuple list) Hashtbl.t = Hashtbl.create 8 in
-  let run_pass tbl occurrences =
-    eval_pass_parallel db stats ~obs ~pool ~fanout_gauge tbl ~on_new occurrences
-  in
-  let full_occurrences () =
+  let full () =
     List.map
-      (fun cr -> { po_cr = cr; po_delta_at = None; po_delta_tuples = [] })
+      (fun cr -> { oc_cr = cr; oc_delta_at = None; oc_delta_tuples = [] })
       compiled
   in
-  (* Delta occurrences in the order the sequential call sites visit
-     them: rule-major, body position ascending. *)
-  let delta_occurrences tbl ~only_stratum =
+  (* Rule-major, body position ascending. *)
+  let deltas tbl =
     List.concat_map
       (fun cr ->
-        let occs = ref [] in
-        Array.iteri
-          (fun idx lit ->
-            match lit with
-            | C_pos (a, _) when (not only_stratum) || in_stratum a.c_pred -> (
+        List.filter_map
+          (fun idx ->
+            match cr.cr_body.(idx) with
+            | C_pos (a, _) -> (
                 match Hashtbl.find_opt tbl a.c_pred with
                 | Some (_ :: _ as dts) ->
-                    occs :=
-                      { po_cr = cr; po_delta_at = Some idx; po_delta_tuples = dts }
-                      :: !occs
-                | _ -> ())
-            | _ -> ())
-          cr.cr_body;
-        List.rev !occs)
+                    Some { oc_cr = cr; oc_delta_at = Some idx; oc_delta_tuples = dts }
+                | _ -> None)
+            | _ -> None)
+          (List.init (Array.length cr.cr_body) Fun.id))
       compiled
   in
-  (match seed with
-  | `Full -> run_pass delta (full_occurrences ())
-  | `Deltas fresh -> run_pass delta (delta_occurrences fresh ~only_stratum:false));
-  stats.iterations <- stats.iterations + 1;
-  let continue_ =
-    ref (recursive && Hashtbl.fold (fun _ l acc -> acc || l <> []) delta false)
-  in
-  while !continue_ do
+  let rec rounds occurrences =
     stats.iterations <- stats.iterations + 1;
-    let new_delta : (string, Relation.tuple list) Hashtbl.t =
-      Hashtbl.create 8
-    in
-    (if naive then run_pass new_delta (full_occurrences ())
-     else run_pass new_delta (delta_occurrences delta ~only_stratum:true));
-    Hashtbl.reset delta;
-    Hashtbl.iter (fun k v -> Hashtbl.replace delta k v) new_delta;
-    continue_ := Hashtbl.fold (fun _ l acc -> acc || l <> []) delta false
-  done
-
-(* Dispatcher: the 1-domain path is the untouched sequential code. *)
-let eval_stratum (db : db) (stats : stats) ~naive ~obs ?pool ~stratum_i
-    (stratum_rules : rule list) (recursive : bool) ~seed ~on_new : unit =
-  match pool with
-  | Some pool ->
-      let fanout_gauge =
-        Metrics.gauge obs.eo_reg
-          ~labels:[ ("stratum", string_of_int stratum_i) ]
-          "xcw_datalog_parallel_fanout"
-      in
-      eval_stratum_parallel db stats ~naive ~obs ~pool ~fanout_gauge
-        stratum_rules recursive ~seed ~on_new
-  | None -> eval_stratum_seq db stats ~naive ~obs stratum_rules recursive ~seed ~on_new
+    let added = Hashtbl.create 8 in
+    pass added occurrences;
+    if recursive && Hashtbl.length added > 0 then
+      rounds (if naive then full () else deltas added)
+  in
+  rounds (match seed with `Full -> full () | `Deltas fresh -> deltas fresh)
 
 let mark_derived (db : db) (stratum_rules : rule list) =
   List.iter
@@ -1825,54 +1640,58 @@ let aggregate_tuples (db : db) (agg : aggregate) : Relation.tuple list =
   |> List.map (fun (key, total) ->
          Array.append key [| pack_int total |])
 
-(* Recompute one aggregate relation in place; returns the tuple list it
-   now holds.  [Relation.clear] keeps the hash-index structure, so this
-   is the same retraction primitive the incremental strata use. *)
-let compute_aggregate (db : db) (stats : stats) (agg : aggregate) :
-    Relation.tuple list =
+(* Recompute one aggregate relation in place.  [Relation.clear] keeps
+   the hash-index structure, so this is the same retraction primitive
+   the incremental strata use. *)
+let compute_aggregate (db : db) (stats : stats) (agg : aggregate) =
   Hashtbl.replace db.db_derived agg.agg_pred ();
   let rel = relation db agg.agg_pred in
   Relation.clear rel;
   let tuples = aggregate_tuples db agg in
   List.iter (fun t -> ignore (Relation.add rel t)) tuples;
-  stats.tuples_derived <- stats.tuples_derived + List.length tuples;
-  tuples
+  stats.tuples_derived <- stats.tuples_derived + List.length tuples
 
 let pool_for ndomains =
   if ndomains < 1 then invalid_arg "Engine: ndomains must be >= 1"
   else if ndomains = 1 then None
   else Some (Pool.get ~ndomains)
 
-(** [run ?naive db program] evaluates all rules to fixpoint, stratum by
-    stratum, adding derived tuples to [db] in place.  [naive] disables
-    semi-naive deltas (used by the ablation bench).  [ndomains]
-    (default 1: bit-identical sequential behaviour) evaluates each
-    stratum on a shared domain pool.  Returns evaluation statistics. *)
-let run ?(naive = false) ?metrics ?(ndomains = 1) ?(aggregates = [])
-    (db : db) (program : program) : stats =
+(* What [run] and [run_incremental] share: the pool, the instruments,
+   the safety and aggregate checks, fresh stats and the strata before
+   [body]; the journal reset and the derived-tuple count after. *)
+let evaluate ?metrics ~ndomains ~aggregates (db : db) (program : program) body
+    =
   let pool = pool_for ndomains in
   let reg = match metrics with Some m -> m | None -> Metrics.default () in
   let obs = make_obs reg program in
   List.iter check_rule_safety program.rules;
   check_aggregates program aggregates;
   let stats = { rules_evaluated = 0; iterations = 0; tuples_derived = 0 } in
-  let strata = stratify program.rules in
-  Span.with_ "datalog.run" (fun () ->
-      List.iter
-        (fun agg -> ignore (compute_aggregate db stats agg))
-        aggregates;
-      List.iteri
-        (fun i (stratum_rules, recursive) ->
-          mark_derived db stratum_rules;
-          with_stratum obs i recursive ~mode:"full" (fun () ->
-              eval_stratum db stats ~naive ~obs ?pool ~stratum_i:i
-                stratum_rules recursive ~seed:`Full
-                ~on_new:(fun _ _ -> ())))
-        strata);
+  body ~pool ~obs stats (stratify program.rules);
   db.db_ran <- true;
   Hashtbl.reset db.db_journal;
   Metrics.Counter.add obs.eo_tuples stats.tuples_derived;
   stats
+
+(** [run ?naive db program] evaluates all rules to fixpoint, stratum by
+    stratum, adding derived tuples to [db] in place.  [naive] disables
+    semi-naive deltas (used by the ablation bench).  [ndomains] above
+    1 (default 1) evaluates each stratum's rounds on a shared domain
+    pool instead of inline.  Returns evaluation statistics. *)
+let run ?(naive = false) ?metrics ?(ndomains = 1) ?(aggregates = [])
+    (db : db) (program : program) : stats =
+  evaluate ?metrics ~ndomains ~aggregates db program
+    (fun ~pool ~obs stats strata ->
+      Span.with_ "datalog.run" (fun () ->
+          List.iter (compute_aggregate db stats) aggregates;
+          List.iteri
+            (fun i (stratum_rules, recursive) ->
+              mark_derived db stratum_rules;
+              with_stratum obs i recursive ~mode:"full" (fun () ->
+                  eval_stratum db stats ~naive ~obs ~pool ~stratum_i:i
+                    stratum_rules recursive ~seed:`Full
+                    ~on_new:(fun _ _ -> ())))
+            strata))
 
 (** [run_incremental db program] brings a previously evaluated [db] up
     to date after EDB insertions, treating the journaled fresh tuples
@@ -1897,14 +1716,9 @@ let run ?(naive = false) ?metrics ?(ndomains = 1) ?(aggregates = [])
 let run_incremental ?metrics ?(ndomains = 1) ?(aggregates = []) (db : db)
     (program : program) : stats =
   if not db.db_ran then run ?metrics ~ndomains ~aggregates db program
-  else begin
-    let pool = pool_for ndomains in
-    let reg = match metrics with Some m -> m | None -> Metrics.default () in
-    let obs = make_obs reg program in
-    List.iter check_rule_safety program.rules;
-    check_aggregates program aggregates;
-    let stats = { rules_evaluated = 0; iterations = 0; tuples_derived = 0 } in
-    let strata = stratify program.rules in
+  else
+    evaluate ?metrics ~ndomains ~aggregates db program
+    @@ fun ~pool ~obs stats strata ->
     (* Tuples added per predicate since the last run: journaled EDB
        insertions plus everything derived by earlier strata below. *)
     let added : (string, Relation.tuple list) Hashtbl.t = Hashtbl.create 16 in
@@ -1923,116 +1737,97 @@ let run_incremental ?metrics ?(ndomains = 1) ?(aggregates = []) (db : db)
       let prev = Option.value (Hashtbl.find_opt added pred) ~default:[] in
       Hashtbl.replace added pred (tuple :: prev)
     in
-    (* Aggregates first: their sources are EDB, so journaled source
-       tuples are the only way an aggregate can change.  Recompute in
-       place and diff against the previous grouped sums — a changed or
-       vanished group retracts tuples (downstream strata take the
-       recompute path via [dirty]), a purely new group propagates as an
+    (* Recompute [preds] in place with [recompute] and diff each against
+       its tuples before: a tuple that vanished is a retraction and
+       marks the predicate dirty, so downstream strata take the
+       recompute path; with none, its new tuples propagate as an
        ordinary insertion delta. *)
-    List.iter
-      (fun agg ->
-        if Hashtbl.mem added agg.agg_source then begin
-          let rel = relation db agg.agg_pred in
-          let old = Relation.to_list rel in
-          ignore (compute_aggregate db stats agg);
-          if obs.eo_live then
-            Metrics.Counter.add obs.eo_retractions
-              (List.length
-                 (List.filter (fun t -> not (Relation.mem rel t)) old));
-          if List.exists (fun t -> not (Relation.mem rel t)) old then
-            Hashtbl.replace dirty agg.agg_pred ()
+    let recompute_and_diff preds recompute =
+      let before =
+        List.map (fun p -> (p, Relation.to_list (relation db p))) preds
+      in
+      recompute ();
+      List.iter
+        (fun (p, old) ->
+          let rel = relation db p in
+          let retracted = List.filter (fun t -> not (Relation.mem rel t)) old in
+          Metrics.Counter.add obs.eo_retractions (List.length retracted);
+          if retracted <> [] then Hashtbl.replace dirty p ()
           else begin
             let old_set = Hashtbl.create (max 16 (List.length old)) in
             List.iter (fun t -> Hashtbl.replace old_set t ()) old;
             Relation.iter rel (fun t ->
-                if not (Hashtbl.mem old_set t) then
-                  record_added agg.agg_pred t)
-          end
-        end)
+                if not (Hashtbl.mem old_set t) then record_added p t)
+          end)
+        before
+    in
+    (* Aggregates first: their sources are EDB, so journaled source
+       tuples are the only way an aggregate can change. *)
+    List.iter
+      (fun agg ->
+        if Hashtbl.mem added agg.agg_source then
+          recompute_and_diff [ agg.agg_pred ] (fun () ->
+              compute_aggregate db stats agg))
       aggregates;
     Span.with_ "datalog.run_incremental" (fun () ->
-    List.iteri
-      (fun stratum_i ((stratum_rules : rule list), recursive) ->
-        mark_derived db stratum_rules;
-        let heads =
-          List.sort_uniq compare
-            (List.map (fun (r : rule) -> r.head.pred) stratum_rules)
-        in
-        let pos_added = ref false and non_monotonic = ref false in
-        List.iter
-          (fun (r : rule) ->
+        List.iteri
+          (fun stratum_i ((stratum_rules : rule list), recursive) ->
+            mark_derived db stratum_rules;
+            let heads =
+              List.sort_uniq compare
+                (List.map (fun (r : rule) -> r.head.pred) stratum_rules)
+            in
+            let pos_added = ref false and non_monotonic = ref false in
             List.iter
-              (function
-                | Pos a ->
-                    if Hashtbl.mem added a.pred then pos_added := true;
-                    if Hashtbl.mem dirty a.pred then non_monotonic := true
-                | Neg a -> if changed a.pred then non_monotonic := true
-                | Cmp _ -> ())
-              r.body)
-          stratum_rules;
-        (* EDB tuples journaled directly into a derived predicate must
-           survive the clear; force the recompute path and re-insert
-           them. *)
-        let head_journal =
-          List.filter_map
-            (fun p ->
-              match Hashtbl.find_opt db.db_journal p with
-              | Some l when !l <> [] -> Some (p, !l)
-              | _ -> None)
-            heads
-        in
-        if !non_monotonic || head_journal <> [] then begin
-          (* Retraction path: clear and re-derive the whole stratum. *)
-          Metrics.Counter.inc obs.eo_strata_recomputed;
-          with_stratum obs stratum_i recursive ~mode:"recompute" (fun () ->
-          let snapshots =
-            List.map
-              (fun p ->
-                let rel = relation db p in
-                let old = Relation.to_list rel in
-                Relation.clear rel;
-                (match List.assoc_opt p head_journal with
-                | Some externals ->
-                    List.iter (fun t -> ignore (Relation.add rel t)) externals
-                | None -> ());
-                (p, old))
-              heads
-          in
-          eval_stratum db stats ~naive:false ~obs ?pool ~stratum_i
-            stratum_rules recursive ~seed:`Full
-            ~on_new:(fun _ _ -> ());
-          List.iter
-            (fun (p, old) ->
-              let rel = relation db p in
-              if obs.eo_live then
-                Metrics.Counter.add obs.eo_retractions
-                  (List.length
-                     (List.filter (fun t -> not (Relation.mem rel t)) old));
-              if List.exists (fun t -> not (Relation.mem rel t)) old then
-                Hashtbl.replace dirty p ()
-              else begin
-                (* Additions only: propagate them as an ordinary delta. *)
-                let old_set = Hashtbl.create (max 16 (List.length old)) in
-                List.iter (fun t -> Hashtbl.replace old_set t ()) old;
-                Relation.iter rel (fun t ->
-                    if not (Hashtbl.mem old_set t) then record_added p t)
-              end)
-            snapshots)
-        end
-        else if !pos_added then begin
-          (* Monotone path: keep the old derived tuples and seed
-             semi-naive evaluation with the fresh input tuples. *)
-          Metrics.Counter.inc obs.eo_strata_seminaive;
-          with_stratum obs stratum_i recursive ~mode:"seminaive" (fun () ->
-              eval_stratum db stats ~naive:false ~obs ?pool ~stratum_i
-                stratum_rules recursive ~seed:(`Deltas added)
-                ~on_new:record_added)
-        end
-        else
-          (* No input changed — skip the stratum entirely. *)
-          Metrics.Counter.inc obs.eo_strata_skipped)
-      strata);
-    Hashtbl.reset db.db_journal;
-    Metrics.Counter.add obs.eo_tuples stats.tuples_derived;
-    stats
-  end
+              (fun (r : rule) ->
+                List.iter
+                  (function
+                    | Pos a ->
+                        if Hashtbl.mem added a.pred then pos_added := true;
+                        if Hashtbl.mem dirty a.pred then non_monotonic := true
+                    | Neg a -> if changed a.pred then non_monotonic := true
+                    | Cmp _ -> ())
+                  r.body)
+              stratum_rules;
+            (* EDB tuples journaled directly into a derived predicate
+               must survive the clear; force the recompute path and
+               re-insert them. *)
+            let head_journal =
+              List.filter_map
+                (fun p ->
+                  match Hashtbl.find_opt db.db_journal p with
+                  | Some l when !l <> [] -> Some (p, !l)
+                  | _ -> None)
+                heads
+            in
+            let eval ~seed ~on_new =
+              eval_stratum db stats ~naive:false ~obs ~pool ~stratum_i
+                stratum_rules recursive ~seed ~on_new
+            in
+            if !non_monotonic || head_journal <> [] then begin
+              (* Retraction path: clear and re-derive the whole stratum. *)
+              Metrics.Counter.inc obs.eo_strata_recomputed;
+              with_stratum obs stratum_i recursive ~mode:"recompute" (fun () ->
+                  recompute_and_diff heads (fun () ->
+                      List.iter
+                        (fun p ->
+                          let rel = relation db p in
+                          Relation.clear rel;
+                          List.iter
+                            (fun t -> ignore (Relation.add rel t))
+                            (Option.value (List.assoc_opt p head_journal)
+                               ~default:[]))
+                        heads;
+                      eval ~seed:`Full ~on_new:(fun _ _ -> ())))
+            end
+            else if !pos_added then begin
+              (* Monotone path: keep the old derived tuples and seed
+                 semi-naive evaluation with the fresh input tuples. *)
+              Metrics.Counter.inc obs.eo_strata_seminaive;
+              with_stratum obs stratum_i recursive ~mode:"seminaive" (fun () ->
+                  eval ~seed:(`Deltas added) ~on_new:record_added)
+            end
+            else
+              (* No input changed — skip the stratum entirely. *)
+              Metrics.Counter.inc obs.eo_strata_skipped)
+          strata)

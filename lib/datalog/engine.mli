@@ -166,19 +166,22 @@ val run :
     (used by the ablation bench).  [aggregates] (default none) are
     recomputed from their EDB sources before the first stratum.
 
-    [ndomains] (default 1) evaluates each stratum's rules on a shared
-    {!Xcw_par.Pool} of that many domains: every (rule, delta) job's
-    driving literal is split into contiguous candidate chunks, workers
-    join against the shared read-only indices (pre-built before
-    fan-out), and chunk derivations are merged in submission order.
-    With [ndomains = 1] no domain is spawned and the sequential code
-    path runs untouched.  For non-recursive strata — the whole shipped
-    cross-chain program — the parallel evaluation reproduces the
-    sequential derivation, insertion order included, bit-for-bit at any
-    worker count; recursive strata synchronize per semi-naive round and
-    reach the identical tuple sets and derived-tuple counts, though
-    relation iteration order (and [iterations]) may differ from
-    sequential.  Raises [Invalid_argument] if [ndomains < 1].
+    Each stratum runs one semi-naive round loop, and each round hands
+    its (rule, delta) occurrences to one of two passes, chosen by
+    [ndomains].  With [ndomains = 1] (the default) the inline pass
+    evaluates them in turn on the calling domain, inserting each head
+    tuple as it is derived; no domain is spawned.  With more, the
+    pooled pass evaluates them on a shared {!Xcw_par.Pool} of that many
+    domains: every occurrence's driving literal is split into
+    contiguous candidate chunks, workers join against the shared
+    read-only indices (pre-built before fan-out), and chunk derivations
+    are merged in submission order.  For non-recursive strata — the
+    whole shipped cross-chain program — the pooled pass reproduces the
+    inline derivation, insertion order included, bit-for-bit at any
+    worker count; in recursive strata both passes reach the identical
+    tuple sets and derived-tuple counts, though relation iteration
+    order (and [iterations]) may differ.  Raises [Invalid_argument] if
+    [ndomains < 1].
 
     Evaluation records into [metrics] (default: the process-wide
     registry): per-rule wall time in the [xcw_datalog_rule_seconds]
@@ -212,8 +215,9 @@ val run_incremental :
     program must be the same across calls on a given [db]; the first
     call behaves as {!run}.  Steady-state cost is proportional to the
     delta and the affected strata, not to the database size.
-    [ndomains] parallelizes the semi-naive and recompute passes exactly
-    as in {!run}, with the same determinism guarantees.
+    [ndomains] chooses the inline or the pooled pass for the
+    semi-naive and recompute strata exactly as in {!run}, with the same
+    determinism guarantees.
 
     Beyond the {!run} instruments, incremental runs record the
     journaled delta size ([xcw_datalog_delta_tuples]), how each stratum

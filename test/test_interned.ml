@@ -313,11 +313,35 @@ let symtab_stable_under_rewind =
 (* ------------------------------------------------------------------ *)
 (* Satellite: qcheck differential against the naive evaluator          *)
 
+(* A grouped sum over [edge] and two rules over it.  A new edge
+   replaces its node's [out_sum] tuple, a retraction; once the sum
+   passes 12, [heavy] gains the node and [light], which negates
+   [heavy], loses it — the incremental retraction path through an
+   aggregate. *)
+let aggregates =
+  [
+    {
+      Engine.agg_pred = "out_sum";
+      agg_source = "edge";
+      agg_group_by = [ 0 ];
+      agg_sum = 1;
+    };
+  ]
+
+let aggregate_rules =
+  [
+    atom "heavy" [ v "x" ]
+    <-- [ pos (atom "out_sum" [ v "x"; v "s" ]); ev "s" >! eint 12 ];
+    atom "light" [ v "x" ]
+    <-- [ pos (atom "edge" [ v "x"; v "y" ]); neg (atom "heavy" [ v "x" ]) ];
+  ]
+
 (* Random programs: a random non-empty subset of a safe rule pool over
-   random edge facts.  Every pool member is range-restricted, so any
-   subset is a valid program; subsets vary the stratum structure (with
-   and without recursion, negation, comparisons). *)
-let rule_pool = Array.of_list diff_rules
+   random batches of edge facts.  Every pool member is range-restricted,
+   so any subset is a valid program; subsets vary the stratum structure
+   (with and without recursion, negation, comparisons and the
+   aggregate). *)
+let rule_pool = Array.of_list (diff_rules @ aggregate_rules)
 
 let gen_program =
   QCheck.Gen.(
@@ -327,39 +351,106 @@ let gen_program =
     >|= fun picks ->
     List.sort_uniq compare picks |> List.map (Array.get rule_pool))
 
+(* A negative weight can lower a node's sum below 12 in a later batch,
+   retracting [heavy] through the aggregate's diff. *)
 let gen_edges =
-  QCheck.Gen.(list_size (0 -- 40) (pair (int_bound 12) (int_bound 12)))
+  QCheck.Gen.(list_size (0 -- 40) (pair (int_bound 12) (int_range (-4) 12)))
 
-let arb_case = QCheck.make QCheck.Gen.(pair gen_program gen_edges)
+let arb_case =
+  QCheck.make QCheck.Gen.(pair gen_program (list_size (1 -- 3) gen_edges))
 
 let head_preds rules =
-  List.sort_uniq compare ("edge" :: List.map (fun r -> r.head.pred) rules)
+  List.sort_uniq compare
+    ("edge" :: "out_sum" :: List.map (fun r -> r.head.pred) rules)
 
 let naive_run rules edges =
   let db = Naive.create_db () in
   List.iter (fun (a, b) -> Naive.add_fact db "edge" [ Int a; Int b ]) edges;
-  let derived = Naive.run db { rules } in
+  let derived = Naive.run ~aggregates db { rules } in
   (List.map (fun p -> (p, Naive.facts db p)) (head_preds rules), derived)
+
+let engine_relations db rules =
+  List.map
+    (fun p -> (p, List.map Array.to_list (Engine.facts db p)))
+    (head_preds rules)
 
 let engine_run ~ndomains rules edges =
   let db = Engine.create_db () in
   List.iter (fun (a, b) -> Engine.add_fact db "edge" [ Int a; Int b ]) edges;
-  let stats = Engine.run ~ndomains db { rules } in
-  ( List.map
-      (fun p -> (p, List.map Array.to_list (Engine.facts db p)))
-      (head_preds rules),
-    stats.Engine.tuples_derived )
+  let stats = Engine.run ~ndomains ~aggregates db { rules } in
+  (engine_relations db rules, stats.Engine.tuples_derived)
 
+(* The relations after each batch, brought up to date by
+   [run_incremental] on one database. *)
+let engine_incremental ~ndomains rules batches =
+  let db = Engine.create_db () in
+  List.map
+    (fun edges ->
+      List.iter
+        (fun (a, b) -> ignore (Engine.insert_fact db "edge" [ Int a; Int b ]))
+        edges;
+      ignore (Engine.run_incremental ~ndomains ~aggregates db { rules });
+      engine_relations db rules)
+    batches
+
+(* [Naive] from scratch over every edge up to each batch. *)
+let naive_prefixes rules batches =
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (edges, acc) batch ->
+            let edges = edges @ batch in
+            (edges, fst (naive_run rules edges) :: acc))
+          ([], []) batches))
+
+(* From scratch over every batch, and by [run_incremental] after each
+   batch. *)
 let prop_naive_vs_engine =
   QCheck.Test.make
     ~name:
       "naive = engine on random programs (relations, derived counts) at \
        --jobs 1/2/4"
     ~count:(qcount 40) arb_case
-    (fun (rules, edges) ->
-      let reference = naive_run rules edges in
+    (fun (rules, batches) ->
+      let reference = naive_run rules (List.concat batches) in
+      let prefixes = naive_prefixes rules batches in
       List.for_all
-        (fun k -> engine_run ~ndomains:k rules edges = reference)
+        (fun k ->
+          engine_run ~ndomains:k rules (List.concat batches) = reference
+          && engine_incremental ~ndomains:k rules batches = prefixes)
+        [ 1; 2; 4 ])
+
+let aggregate_crossing =
+  Alcotest.test_case
+    "edge(1,5) then edge(1,9): out_sum and light retract, heavy gains, \
+     = naive at --jobs 1/2/4"
+    `Quick (fun () ->
+      let batches = [ [ (1, 5) ]; [ (1, 9) ] ] in
+      let expected =
+        [
+          [
+            ("edge", [ [ Int 1; Int 5 ] ]);
+            ("heavy", []);
+            ("light", [ [ Int 1 ] ]);
+            ("out_sum", [ [ Int 1; Int 5 ] ]);
+          ];
+          [
+            ("edge", [ [ Int 1; Int 5 ]; [ Int 1; Int 9 ] ]);
+            ("heavy", [ [ Int 1 ] ]);
+            ("light", []);
+            ("out_sum", [ [ Int 1; Int 14 ] ]);
+          ];
+        ]
+      in
+      let const = Alcotest.testable pp_const ( = ) in
+      let same =
+        Alcotest.(check (list (list (pair string (list (list const))))))
+      in
+      same "naive" expected (naive_prefixes aggregate_rules batches);
+      List.iter
+        (fun k ->
+          same (Printf.sprintf "--jobs %d" k) expected
+            (engine_incremental ~ndomains:k aggregate_rules batches))
         [ 1; 2; 4 ])
 
 (* ------------------------------------------------------------------ *)
@@ -372,5 +463,6 @@ let () =
       ("shards", [ shard_distribution ]);
       ("symtab-stability", [ symtab_stable_under_rewind ]);
       ( "differential",
-        List.map QCheck_alcotest.to_alcotest [ prop_naive_vs_engine ] );
+        QCheck_alcotest.to_alcotest prop_naive_vs_engine
+        :: [ aggregate_crossing ] );
     ]

@@ -106,21 +106,25 @@ let relation_signature db =
     (fun p -> (p, List.sort compare (Engine.facts db p)))
     (Engine.derived_predicates db)
 
-let run_batch ~ndomains facts =
+let run_batch ~naive ~ndomains facts =
   let db = Engine.create_db () in
   List.iter (fun (p, t) -> Engine.add_fact db p t) facts;
-  let stats = Engine.run ~ndomains db { rules = diff_rules } in
+  let stats = Engine.run ~naive ~ndomains db { rules = diff_rules } in
   (relation_signature db, stats.Engine.tuples_derived, dump_bytes db)
 
+(* [naive] re-runs every rule of the recursive [path] stratum in full
+   each round, through the pool as well as inline. *)
 let prop_run_differential =
   QCheck.Test.make
     ~name:"run ~ndomains:k = sequential (relations, counts, TSV bytes)"
     ~count:(qcount 40)
-    (QCheck.make gen_edges)
-    (fun edges ->
+    (QCheck.pair QCheck.bool (QCheck.make gen_edges))
+    (fun (naive, edges) ->
       let facts = edges_to_facts edges in
-      let reference = run_batch ~ndomains:1 facts in
-      List.for_all (fun k -> run_batch ~ndomains:k facts = reference) [ 2; 4 ])
+      let reference = run_batch ~naive ~ndomains:1 facts in
+      List.for_all
+        (fun k -> run_batch ~naive ~ndomains:k facts = reference)
+        [ 2; 4 ])
 
 let run_incremental_batches ~ndomains batches =
   let db = Engine.create_db () in
