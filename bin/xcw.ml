@@ -266,21 +266,6 @@ let trace_arg =
       "Write the recorded spans (one JSON object per line: name, \
        attributes, start, duration, nesting depth) to $(docv)."
 
-let endpoints_arg =
-  int_arg ~min:1 "endpoints" 1 ~docv:"N"
-    ~doc:
-      "Independent RPC endpoints per chain.  Above 1 every read goes \
-       through a Byzantine-tolerant k-of-n quorum pool that \
-       cross-validates responses by content."
-
-let quorum_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "quorum" ] ~docv:"K"
-        ~doc:
-          "Endpoints that must agree on a response's exact content before \
-           the pool serves it (ignored with a single endpoint).")
-
 let jobs_arg =
   int_arg ~aliases:[ "j" ] ~min:1 "jobs" 1 ~docv:"N"
     ~doc:
@@ -293,47 +278,62 @@ let jobs_arg =
 let apply_jobs input jobs =
   if jobs = 1 then input else { input with Detector.i_ndomains = jobs }
 
-let byzantine_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "byzantine" ] ~docv:"IDX"
-        ~doc:
-          "Make endpoint $(docv) (0-based, on both chains) a lying node: it \
-           answers every request but corrupts roughly 30% of its responses \
-           in each Byzantine mode.  Requires --endpoints > 1.")
-
-(* Thread the quorum flags into a detector input; exits with a usage
-   error when the combination cannot form a valid pool. *)
-let apply_quorum input endpoints quorum byzantine =
-  if endpoints <= 1 then input
-  else begin
-    if quorum < 1 || quorum > endpoints then begin
-      Format.eprintf "xcw: --quorum %d out of range for %d endpoints@." quorum
-        endpoints;
-      exit 2
-    end;
-    (match byzantine with
-    | Some j when j < 0 || j >= endpoints ->
-        Format.eprintf "xcw: --byzantine %d out of range for %d endpoints@." j
+(* --endpoints, --quorum and --byzantine, read and checked together:
+   a combination that cannot form a valid pool is a usage error when
+   the command line is read.  With a single endpoint there is no pool,
+   and the other two are ignored.  The term is the function that
+   threads the pool into a detector input. *)
+let endpoints_arg =
+  let pool endpoints quorum byzantine =
+    if endpoints <= 1 then Fun.id
+    else begin
+      if quorum < 1 || quorum > endpoints then
+        usage_error "--quorum %d out of range for %d endpoints" quorum
           endpoints;
-        exit 2
-    | _ -> ());
-    let efs =
-      match byzantine with
-      | None -> []
-      | Some j ->
-          List.init endpoints (fun i ->
-              if i = j then Some Xcw_rpc.Fault.byzantine else None)
-    in
-    {
-      input with
-      Detector.i_endpoints = endpoints;
-      i_quorum = quorum;
-      i_source_endpoint_faults = efs;
-      i_target_endpoint_faults = efs;
-    }
-  end
+      Option.iter
+        (fun j ->
+          if j < 0 || j >= endpoints then
+            usage_error "--byzantine %d out of range for %d endpoints" j
+              endpoints)
+        byzantine;
+      let efs =
+        match byzantine with
+        | None -> []
+        | Some j ->
+            List.init endpoints (fun i ->
+                if i = j then Some Xcw_rpc.Fault.byzantine else None)
+      in
+      fun input ->
+        {
+          input with
+          Detector.i_endpoints = endpoints;
+          i_quorum = quorum;
+          i_source_endpoint_faults = efs;
+          i_target_endpoint_faults = efs;
+        }
+    end
+  in
+  Term.(
+    const pool
+    $ int_arg ~min:1 "endpoints" 1 ~docv:"N"
+        ~doc:
+          "Independent RPC endpoints per chain.  Above 1 every read goes \
+           through a Byzantine-tolerant k-of-n quorum pool that \
+           cross-validates responses by content."
+    $ Arg.(
+        value & opt int 2
+        & info [ "quorum" ] ~docv:"K"
+            ~doc:
+              "Endpoints that must agree on a response's exact content \
+               before the pool serves it (ignored with a single endpoint).")
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "byzantine" ] ~docv:"IDX"
+            ~doc:
+              "Make endpoint $(docv) (0-based, on both chains) a lying node: \
+               it answers every request but corrupts roughly 30% of its \
+               responses in each Byzantine mode.  Requires --endpoints > 1."))
 
 let pp_pool_health label (h : Xcw_rpc.Pool.health) =
   let state_name = function
@@ -383,9 +383,9 @@ let build_scenario kind scale seed =
   | Ronin -> (Xcw_workload.Ronin.build ~seed ~scale (), Decoder.ronin_plugin)
 
 let detect_cmd =
-  let run kind attack exit_lane scale seed latency endpoints quorum byzantine
-      jobs report_file dataset_file dataset_csv_file rules_file dump_facts_dir
-      metrics_file trace_file =
+  let run kind attack exit_lane scale seed latency pool jobs report_file
+      dataset_file dataset_csv_file rules_file dump_facts_dir metrics_file
+      trace_file =
     let program = load_rules rules_file in
     let module Exit_bridge = Xcw_workload.Exit_bridge in
     let reseed_exit (base : Exit_bridge.base) =
@@ -454,7 +454,7 @@ let detect_cmd =
         i_program = program;
       }
     in
-    let input = apply_quorum input endpoints quorum byzantine in
+    let input = pool input in
     let input = apply_jobs input jobs in
     let result = Detector.run input in
     Format.printf "%a@." Report.pp result.Detector.report;
@@ -503,7 +503,7 @@ let detect_cmd =
     (Cmd.info "detect" ~doc:"Generate a bridge scenario and run anomaly detection")
     Term.(
       const run $ opt_bridge_arg $ attack_arg $ exit_arg $ scale_arg $ seed_arg
-      $ latency_arg $ endpoints_arg $ quorum_arg $ byzantine_arg $ jobs_arg
+      $ latency_arg $ endpoints_arg $ jobs_arg
       $ report_arg $ dataset_arg $ dataset_csv_arg $ rules_file_arg
       $ dump_facts_arg $ metrics_arg $ trace_arg)
 
@@ -537,8 +537,8 @@ let opening_state_dir state_dir f =
       | Sys_error msg | Xcw_store.Store.Damaged_snapshot msg -> fail msg)
 
 let monitor_cmd =
-  let run kind scale seed interval_hours endpoints quorum byzantine jobs
-      state_dir metrics_file trace_file =
+  let run kind scale seed interval_hours pool jobs state_dir metrics_file
+      trace_file =
     let built, plugin = build_scenario kind scale seed in
     let module Monitor = Xcw_core.Monitor in
     let module Chain = Xcw_chain.Chain in
@@ -557,7 +557,7 @@ let monitor_cmd =
           built.Scenario.first_window_withdrawal_id;
       }
     in
-    let input = apply_quorum input endpoints quorum byzantine in
+    let input = pool input in
     let input = apply_jobs input jobs in
     let ckpt =
       opening_state_dir state_dir (fun () ->
@@ -632,7 +632,7 @@ let monitor_cmd =
        ~doc:"Replay a scenario through the streaming monitor, printing alerts")
     Term.(
       const run $ bridge_arg $ scale_arg $ seed_arg $ interval_arg
-      $ endpoints_arg $ quorum_arg $ byzantine_arg $ jobs_arg
+      $ endpoints_arg $ jobs_arg
       $ state_dir_arg $ metrics_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -22,12 +22,18 @@
     accounting rows only (the full report is built on demand by
     {!last_report}).  What a poll still pays per unit of history: the
     negation strata that [run_incremental] recomputes from scratch (8
-    per Nomad stream poll), the anomaly-row scan (each anomaly relation
-    is read and sorted whole), and, with a checkpoint, every
-    [snapshot_every]-th poll's snapshot.  A snapshot re-encodes no
-    entry (each is encoded once, when first written, and its bytes are
-    kept; see {!put_entry}) and builds no copy of its payload, but it
-    still writes the bytes of every entry, CRCs them and fsyncs them.
+    per Nomad stream poll) and the anomaly-row scan (each anomaly
+    relation is read and sorted whole).
+
+    With a checkpoint, a poll appends one WAL record of what it decoded
+    and, when the store says a compaction is due
+    ({!Xcw_store.Store.compaction_due}: the WAL has grown as large as
+    the last snapshot), also writes a snapshot.  A snapshot re-encodes
+    no entry (each is encoded once, when first written, and its bytes
+    are kept; see {!put_entry}) and builds no copy of its payload, but
+    it still writes the bytes of every entry, CRCs them and fsyncs
+    them; the rule makes that cost at most twice the WAL's bytes over a
+    run, instead of the whole state every k-th poll.
 
     The database is never persisted, only what it is built from.  There
     is one way to build it, {!fresh_db}: the config facts plus every
@@ -77,16 +83,14 @@ module Checkpoint = struct
   type t = {
     ck_store : Store.t;
     ck_sym : Xcw_store.Symmap.t;
-    ck_every : int;
     mutable ck_recovered : Store.recovered option;
   }
 
-  let open_ ?crash ?(snapshot_every = 8) ~dir () =
+  let open_ ?crash ~dir () =
     let store, recovered = Store.open_ ?crash ~dir () in
     {
       ck_store = store;
       ck_sym = Xcw_store.Symmap.create ();
-      ck_every = snapshot_every;
       ck_recovered = Some recovered;
     }
 
@@ -286,6 +290,9 @@ type monitor_obs = {
   mo_pending_src : Metrics.Gauge.t;
   mo_pending_dst : Metrics.Gauge.t;
   mo_facts : Metrics.Gauge.t;
+  mo_wal_bytes : Metrics.Counter.t;
+  mo_snapshot_bytes : Metrics.Counter.t;
+  mo_snapshots : Metrics.Counter.t;
 }
 
 type t = {
@@ -353,6 +360,13 @@ let make_obs reg =
     mo_pending_dst =
       Metrics.gauge reg ~labels:[ ("side", "target") ] "xcw_monitor_pending";
     mo_facts = Metrics.gauge reg "xcw_monitor_facts_cached";
+    mo_wal_bytes =
+      Metrics.counter reg ~labels:[ ("kind", "wal") ]
+        "xcw_monitor_checkpoint_bytes_total";
+    mo_snapshot_bytes =
+      Metrics.counter reg ~labels:[ ("kind", "snapshot") ]
+        "xcw_monitor_checkpoint_bytes_total";
+    mo_snapshots = Metrics.counter reg "xcw_monitor_snapshots_total";
   }
 
 let indexed_entries s =
@@ -897,19 +911,24 @@ and poll_body t ~source_block ~target_block =
   (match t.m_ckpt with
   | None -> ()
   | Some ck ->
+      let module Store = Xcw_store.Store in
+      let store = ck.Checkpoint.ck_store and obs = t.m_obs in
       let payload =
         encode_record t ck
           ~src:(src_removed, src_added)
           ~dst:(dst_removed, dst_added)
           ~alerts
       in
-      ignore (Xcw_store.Store.append ck.Checkpoint.ck_store payload);
+      let appended = Store.appended_bytes store in
+      ignore (Store.append store payload);
+      Metrics.Counter.add obs.mo_wal_bytes
+        (Store.appended_bytes store - appended);
       t.m_replay <- alerts;
-      if
-        ck.Checkpoint.ck_every > 0
-        && t.m_polls mod ck.Checkpoint.ck_every = 0
-      then
-        Xcw_store.Store.snapshot ck.Checkpoint.ck_store (encode_snapshot t ck));
+      if Store.compaction_due store then begin
+        Store.snapshot store (encode_snapshot t ck);
+        Metrics.Counter.inc obs.mo_snapshots;
+        Metrics.Counter.add obs.mo_snapshot_bytes (Store.snapshot_bytes store)
+      end);
   (alerts, pending_src, pending_dst)
 
 let health t =

@@ -15,13 +15,15 @@
     work.  The monitor's own bookkeeping (receipt index, fact counts,
     decode errors, the alert scan) costs O(new receipts) per poll.
     What a poll still pays per unit of history: the negation strata
-    the engine recomputes from scratch (8 per Nomad stream poll), the
-    anomaly-row scan, and, with a {!Checkpoint}, the periodic snapshot
-    of the decoded state — not its encoding (each decoded entry is
-    encoded once, when first written, and kept), but its bytes, their
-    CRC and one fsync.  [create ~incremental:false] restores the
-    from-scratch rebuild per poll, for differential testing and
-    benchmarking.
+    the engine recomputes from scratch (8 per Nomad stream poll) and
+    the anomaly-row scan.  With a {!Checkpoint}, a poll writes one
+    fsynced WAL record of what it decoded, and the occasional poll also
+    compacts the WAL into a snapshot of the whole decoded state; that
+    happens once the WAL has grown as large as the last snapshot, so
+    the snapshot bytes a long run writes stay within twice its WAL
+    bytes (see {!Xcw_store.Store}).  [create ~incremental:false]
+    restores the from-scratch rebuild per poll, for differential
+    testing and benchmarking.
 
     The database is built one way only: the config facts plus every
     decoded entry's facts, evaluated from scratch by the next poll.
@@ -56,34 +58,33 @@ type alert = {
 
     A checkpoint directory holds an append-only CRC-framed WAL with one
     record per poll (cursor advance, decoded-entry delta as packed
-    tuples, emitted alerts with their sequence numbers) plus periodic
-    atomic snapshots ([snapshot_every] polls; write-temp + fsync +
-    rename, then WAL truncation) of what the monitor decoded: entries,
-    cursors, the alert-dedup set and the sequence counter.  Nothing
-    derived is stored.  [Monitor.create ~checkpoint] recovers: the
-    snapshot, then the WAL tail replayed over it, torn or corrupt
-    trailing records truncated.  The monitor resumes with cursors,
-    entries, alert dedup set and sequence counter exactly as they were
-    at the last durable record, and rebuilds its database from the
-    entries; its first poll evaluates the whole program under the
-    rules it runs now.  A damaged [snapshot.bin] is refused: opening
-    the checkpoint raises {!Xcw_store.Store.Damaged_snapshot}.  A handle
-    is consumed by the monitor it is passed to — reusing it raises
-    [Invalid_argument]. *)
+    tuples, emitted alerts with their sequence numbers) plus atomic
+    snapshots (write-temp + fsync + rename, then WAL truncation) of what
+    the monitor decoded: entries, cursors, the alert-dedup set and the
+    sequence counter.  Nothing derived is stored.  A poll snapshots when
+    the store says a compaction is due
+    ({!Xcw_store.Store.compaction_due}: the WAL is at least as large as
+    the last snapshot, so the first poll snapshots at once).
+    [Monitor.create ~checkpoint] recovers: the snapshot, then the WAL
+    tail replayed over it, torn or corrupt trailing records truncated.
+    The monitor resumes with cursors, entries, alert dedup set and
+    sequence counter exactly as they were at the last durable record,
+    and rebuilds its database from the entries; its first poll evaluates
+    the whole program under the rules it runs now.  A damaged
+    [snapshot.bin] is refused: opening the checkpoint raises
+    {!Xcw_store.Store.Damaged_snapshot}.  A handle is consumed by the
+    monitor it is passed to — reusing it raises [Invalid_argument]. *)
 module Checkpoint : sig
   type t
 
-  val open_ :
-    ?crash:Xcw_store.Crash_plan.t ->
-    ?snapshot_every:int ->
-    dir:string ->
-    unit ->
-    t
-  (** [snapshot_every] defaults to 8 polls; [0] disables snapshots
-      (the WAL then grows unboundedly).  [crash] threads a
-      deterministic crash-injection plan into every write point.
-      Raises {!Xcw_store.Store.Damaged_snapshot} when [dir] holds a
-      damaged [snapshot.bin]. *)
+  val open_ : ?crash:Xcw_store.Crash_plan.t -> dir:string -> unit -> t
+  (** [crash] threads a deterministic crash-injection plan into every
+      write point.  The monitor counts what its checkpoint writes in
+      its registry: [xcw_monitor_checkpoint_bytes_total] with
+      [kind="wal"] (framed WAL bytes) and [kind="snapshot"], and
+      [xcw_monitor_snapshots_total].  Raises
+      {!Xcw_store.Store.Damaged_snapshot} when [dir] holds a damaged
+      [snapshot.bin]. *)
 
   val store : t -> Xcw_store.Store.t
   (** The underlying store (WAL sizes for benches and tests). *)

@@ -428,8 +428,7 @@ let poll t : Bus.fleet_alert list =
                                Option.map
                                  (fun dir ->
                                    Monitor.Checkpoint.open_ ?crash:t.s_crash
-                                     ~snapshot_every:t.s_snapshot_every ~dir
-                                     ())
+                                     ~dir ())
                                  ln.ln_dir
                              in
                              let m =

@@ -122,15 +122,19 @@ val create :
     span.
 
     [state_dir] makes the fleet durable (PR 9): each lane's monitor
-    checkpoints into [state_dir/<lane-name>] and the supervisor itself
-    appends one self-contained record per round (breaker and cursor
-    state, the bus dedup window and counters, the round's emissions) to
-    [state_dir/_fleet], snapshotting every [snapshot_every] rounds
-    (default 8).  Creation recovers whatever the directory holds and
-    resumes at the last durable round; re-running the crashed round
-    merges each lane's durable alert tail back into the bus in lane
-    order, so the emission stream (after the consumer dedups
-    {!replayed} by [fa_seq]) is byte-identical to an uninterrupted run.
+    checkpoints into [state_dir/<lane-name>], compacting when its store
+    says so ({!Xcw_store.Store.compaction_due}), and the supervisor
+    itself appends one self-contained record per round (breaker and
+    cursor state, the bus dedup window and counters, the round's
+    emissions) to [state_dir/_fleet], snapshotting every
+    [snapshot_every] rounds (default 8).  [snapshot_every] paces only
+    [_fleet]: each of its records restates the whole fleet state, so the
+    lanes' size rule would compact it almost every round.  Creation
+    recovers whatever the directory holds and resumes at the last
+    durable round; re-running the crashed round merges each lane's
+    durable alert tail back into the bus in lane order, so the emission
+    stream (after the consumer dedups {!replayed} by [fa_seq]) is
+    byte-identical to an uninterrupted run.
     A damaged [snapshot.bin] is never skipped: in [state_dir/_fleet]
     creation raises {!Xcw_store.Store.Damaged_snapshot}; in a lane's
     directory the lane's monitor cannot be created, so each of its

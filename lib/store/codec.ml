@@ -44,18 +44,17 @@ let update t c s off len =
 
 let finish c = Int32.of_int (c lxor 0xFFFFFFFF)
 
-let crc32 ?(off = 0) ?len s =
+(* The register a finished CRC continues from; [resume 0l] is the
+   initial register. *)
+let resume crc = (Int32.to_int crc land 0xFFFFFFFF) lxor 0xFFFFFFFF
+
+let crc32 ?(crc = 0l) ?(off = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - off in
   if off < 0 || len < 0 || off > String.length s - len then
     invalid_arg "Codec.crc32";
-  finish (update (Lazy.force tables) 0xFFFFFFFF s off len)
+  finish (update (Lazy.force tables) (resume crc) s off len)
 
-let crc32_pieces pieces =
-  let t = Lazy.force tables in
-  finish
-    (List.fold_left
-       (fun c s -> update t c s 0 (String.length s))
-       0xFFFFFFFF pieces)
+let crc32_pieces pieces = List.fold_left (fun crc s -> crc32 ~crc s) 0l pieces
 
 module W = struct
   type t = Buffer.t

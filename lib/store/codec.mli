@@ -5,9 +5,11 @@
     so a [Corrupt] raised here after a successful CRC check indicates a
     format/version bug, not disk damage. *)
 
-val crc32 : ?off:int -> ?len:int -> string -> int32
+val crc32 : ?crc:int32 -> ?off:int -> ?len:int -> string -> int32
 (** IEEE 802.3 CRC-32 of a substring (whole string by default),
-    slicing-by-8 over native ints.  Raises [Invalid_argument] when
+    slicing-by-8 over native ints.  [crc] continues an earlier result:
+    [crc32 ~crc:(crc32 a) b = crc32 (a ^ b)], so a CRC can span
+    substrings that are not adjacent.  Raises [Invalid_argument] when
     [off]/[len] do not name a substring of [s]. *)
 
 val crc32_pieces : string list -> int32

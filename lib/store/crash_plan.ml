@@ -16,25 +16,43 @@ let point_name = function
 
 exception Crashed of point * int
 
+let points =
+  [ Wal_torn_record; Wal_pre_sync; Wal_post_sync; Snap_torn_temp;
+    Snap_pre_rename; Snap_pre_truncate ]
+
 (* One plan may be shared by every store of a fleet, whose lanes poll
    in parallel domains: the counter is mutex-protected so each write
    opportunity gets a unique index and exactly one of them fires.  The
    partial effect runs under the lock — by then the process is dead
    anyway. *)
-type t = { mutable ops : int; target : int; mu : Mutex.t }
+type t = {
+  mutable ops : int;
+  seen : (point, int) Hashtbl.t;  (** opportunities per point kind *)
+  target : int;
+  mu : Mutex.t;
+}
 
-let none () = { ops = 0; target = 0; mu = Mutex.create () }
-let at target = { ops = 0; target = max 1 target; mu = Mutex.create () }
+let make target =
+  { ops = 0; seen = Hashtbl.create 6; target; mu = Mutex.create () }
 
-let ops t =
+let none () = make 0
+let at target = make (max 1 target)
+
+let locked t f =
   Mutex.lock t.mu;
-  let n = t.ops in
+  let v = f () in
   Mutex.unlock t.mu;
-  n
+  v
+
+let ops t = locked t (fun () -> t.ops)
+
+let seen t point = Option.value ~default:0 (Hashtbl.find_opt t.seen point)
+let counts t = locked t (fun () -> List.map (fun p -> (p, seen t p)) points)
 
 let step t point ~partial =
   Mutex.lock t.mu;
   t.ops <- t.ops + 1;
+  Hashtbl.replace t.seen point (seen t point + 1);
   let fire = t.target > 0 && t.ops = t.target in
   let n = t.ops in
   if fire then begin

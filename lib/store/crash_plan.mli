@@ -34,5 +34,10 @@ val at : int -> t
 val ops : t -> int
 (** Write opportunities seen so far. *)
 
+val counts : t -> (point * int) list
+(** Write opportunities seen so far of each kind, every kind listed
+    once in declaration order — how a sweep checks that its crash
+    space reaches every kind. *)
+
 val step : t -> point -> partial:(unit -> unit) -> unit
 (** Internal hook called by the store on every write opportunity. *)

@@ -1,5 +1,19 @@
-let snap_magic = "XCWSNAP1"
+let snap_magic = "XCWSNAP2"
 let header_len = 20 (* len:u64 + index:u64 + crc:u32 *)
+
+(* Before [XCWSNAP2] and the length word's top bit, a CRC covered the
+   payload alone, so a flipped index went unnoticed.  Files in that
+   format still load under that check; the first compaction rewrites
+   the snapshot and truncates every old frame. *)
+let snap_magic_v1 = "XCWSNAP1"
+let covered_bit = Int64.min_int
+
+(* The CRC a snapshot or frame must carry: over the 16 bytes of
+   index and length fields at [fields], then the payload at [body];
+   over the payload alone for the old format. *)
+let expected_crc ~covered raw ~fields ~body ~len =
+  let crc = if covered then Codec.crc32 ~off:fields ~len:16 raw else 0l in
+  Codec.crc32 ~crc ~off:body ~len raw
 
 type t = {
   t_dir : string;
@@ -9,6 +23,7 @@ type t = {
   mutable t_chan : out_channel;
   mutable t_next : int;
   mutable t_wal_bytes : int;
+  mutable t_snap_bytes : int;
   mutable t_appended : int;
   mutable t_closed : bool;
 }
@@ -53,17 +68,21 @@ let load_snapshot path =
         (Damaged_snapshot (Printf.sprintf "%s: damaged snapshot (%s)" path why))
     in
     let m = String.length snap_magic in
+    let covered = String.starts_with ~prefix:snap_magic raw in
     if String.length raw < m + header_len then damaged "shorter than its header"
-    else if String.sub raw 0 m <> snap_magic then damaged "bad magic"
+    else if not (covered || String.starts_with ~prefix:snap_magic_v1 raw) then
+      damaged "bad magic"
     else
       let last = Int64.to_int (String.get_int64_le raw m) in
       let len = Int64.to_int (String.get_int64_le raw (m + 8)) in
       let crc = String.get_int32_le raw (m + 16) in
-      if len < 0 || m + header_len + len <> String.length raw then
+      if len <> String.length raw - m - header_len then
         damaged "length mismatch"
-      else if Codec.crc32 ~off:(m + header_len) ~len raw <> crc then
-        damaged "CRC mismatch"
-      else Some (last, String.sub raw (m + header_len) len)
+      else if
+        expected_crc ~covered raw ~fields:m ~body:(m + header_len) ~len
+        <> crc
+      then damaged "CRC mismatch"
+      else Some (last, String.sub raw (m + header_len) len, String.length raw)
 
 (* Scan the WAL, returning valid records and the offset of the first
    torn or corrupt byte (= the length to truncate the file to). *)
@@ -73,12 +92,18 @@ let scan_wal raw =
   let pos = ref 0 in
   let stop = ref false in
   while (not !stop) && !pos + header_len <= total do
-    let len = Int64.to_int (String.get_int64_le raw !pos) in
+    let word = String.get_int64_le raw !pos in
+    let len = Int64.to_int (Int64.logand word Int64.max_int) in
     let index = Int64.to_int (String.get_int64_le raw (!pos + 8)) in
     let crc = String.get_int32_le raw (!pos + 16) in
-    if len < 0 || index < 0 || !pos + header_len + len > total then stop := true
-    else if Codec.crc32 ~off:(!pos + header_len) ~len raw <> crc then
+    if len < 0 || index < 0 || len > total - !pos - header_len then
       stop := true
+    else if
+      expected_crc
+        ~covered:(Int64.logand word covered_bit <> 0L)
+        raw ~fields:!pos ~body:(!pos + header_len) ~len
+      <> crc
+    then stop := true
     else begin
       records := (index, String.sub raw (!pos + header_len) len) :: !records;
       pos := !pos + header_len + len
@@ -94,7 +119,9 @@ let open_ ?(crash = Crash_plan.none ()) ~dir () =
   let tmp = snap ^ ".tmp" in
   if Sys.file_exists tmp then Sys.remove tmp;
   let snapshot = load_snapshot snap in
-  let snap_last = match snapshot with Some (last, _) -> last | None -> 0 in
+  let snap_last, snap_bytes =
+    match snapshot with Some (last, _, n) -> (last, n) | None -> (0, 0)
+  in
   let raw = if Sys.file_exists wal then read_file wal else "" in
   let all_records, valid_len = scan_wal raw in
   if valid_len < String.length raw then begin
@@ -119,22 +146,24 @@ let open_ ?(crash = Crash_plan.none ()) ~dir () =
       t_chan = chan;
       t_next = last_index + 1;
       t_wal_bytes = valid_len;
+      t_snap_bytes = snap_bytes;
       t_appended = 0;
       t_closed = false;
     }
   in
   ( t,
     {
-      r_snapshot = Option.map snd snapshot;
+      r_snapshot = Option.map (fun (_, payload, _) -> payload) snapshot;
       r_records = records;
       r_truncated_bytes = String.length raw - valid_len;
     } )
 
 let frame index payload =
   let b = Buffer.create (header_len + String.length payload) in
-  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_int64_le b
+    (Int64.logor covered_bit (Int64.of_int (String.length payload)));
   Buffer.add_int64_le b (Int64.of_int index);
-  Buffer.add_int32_le b (Codec.crc32 payload);
+  Buffer.add_int32_le b (Codec.crc32_pieces [ Buffer.contents b; payload ]);
   Buffer.add_string b payload;
   Buffer.contents b
 
@@ -182,11 +211,12 @@ let snapshot t pieces =
   assert (not t.t_closed);
   let last = t.t_next - 1 in
   let len = List.fold_left (fun acc p -> acc + String.length p) 0 pieces in
-  let b = Buffer.create (String.length snap_magic + header_len) in
+  let m = String.length snap_magic in
+  let b = Buffer.create (m + header_len) in
   Buffer.add_string b snap_magic;
   Buffer.add_int64_le b (Int64.of_int last);
   Buffer.add_int64_le b (Int64.of_int len);
-  Buffer.add_int32_le b (Codec.crc32_pieces pieces);
+  Buffer.add_int32_le b (Codec.crc32_pieces (Buffer.sub b m 16 :: pieces));
   let content = Buffer.contents b :: pieces in
   let tmp = t.t_snap ^ ".tmp" in
   Crash_plan.step t.t_crash Crash_plan.Snap_torn_temp ~partial:(fun () ->
@@ -201,10 +231,13 @@ let snapshot t pieces =
   t.t_chan <-
     open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644
       t.t_wal;
-  t.t_wal_bytes <- 0
+  t.t_wal_bytes <- 0;
+  t.t_snap_bytes <- Buffer.length b + len
 
 let next_index t = t.t_next
 let wal_bytes t = t.t_wal_bytes
+let snapshot_bytes t = t.t_snap_bytes
+let compaction_due t = t.t_wal_bytes >= t.t_snap_bytes
 let appended_bytes t = t.t_appended
 
 let close t =

@@ -283,7 +283,7 @@ let bookkeeping_survives_reorgs_and_restart =
       Sys.remove dir;
       let scr = Monitor.create ~incremental:false input in
       let open_monitor () =
-        let ck = Monitor.Checkpoint.open_ ~snapshot_every:2 ~dir () in
+        let ck = Monitor.Checkpoint.open_ ~dir () in
         let mon =
           Monitor.create ~metrics:(Metrics.create ()) ~checkpoint:ck faulty_input
         in

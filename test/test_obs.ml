@@ -473,25 +473,54 @@ let monitor_metrics =
           in
           Alcotest.(check int) "poll spans" 2 (List.length poll_spans)))
 
+(* With a checkpoint too, so the checkpoint byte and snapshot counters
+   are covered: the same alerts, and the same bytes on disk. *)
 let monitor_metrics_behaviour_neutral =
   Alcotest.test_case "alerts identical with live and noop registries" `Quick
     (fun () ->
-      let run metrics =
+      let run ~durable metrics =
         let b, m = T.make_bridge () in
         let user =
           T.user_with_tokens b m "obs-neutral" (U256.of_int 1_000_000)
         in
         T.seed_completed_deposit b m user;
-        List.iteri (fun i op -> T.apply_op b m user i op) [ 0; 1; 2; 3 ];
-        let mon = Monitor.create ~metrics (T.monitor_input b) in
-        let sb, tb = T.cur b in
-        let alerts = Monitor.poll mon ~source_block:sb ~target_block:tb in
-        T.alert_keys alerts
+        let dir = Filename.temp_file "xcw-obs" "" in
+        Sys.remove dir;
+        let checkpoint =
+          if durable then Some (Monitor.Checkpoint.open_ ~dir ()) else None
+        in
+        let mon = Monitor.create ~metrics ?checkpoint (T.monitor_input b) in
+        let alerts =
+          List.concat
+            (List.mapi
+               (fun i op ->
+                 T.apply_op b m user i op;
+                 let sb, tb = T.cur b in
+                 Monitor.poll mon ~source_block:sb ~target_block:tb)
+               [ 0; 1; 2; 3 ])
+        in
+        Option.iter Monitor.Checkpoint.close checkpoint;
+        let on_disk =
+          if durable then
+            List.map
+              (fun f ->
+                In_channel.with_open_bin (Filename.concat dir f)
+                  In_channel.input_all)
+              [ "snapshot.bin"; "wal.log" ]
+          else []
+        in
+        (T.alert_keys alerts, on_disk)
       in
-      let live = run (Metrics.create ()) in
-      let nil = run Metrics.noop in
+      let live = run ~durable:false (Metrics.create ()) in
+      let nil = run ~durable:false Metrics.noop in
       Alcotest.(check bool) "same alerts" true (live = nil);
-      Alcotest.(check bool) "alerts non-empty" true (live <> []))
+      Alcotest.(check bool) "alerts non-empty" true (fst live <> []);
+      let live_ck = run ~durable:true (Metrics.create ()) in
+      let nil_ck = run ~durable:true Metrics.noop in
+      Alcotest.(check bool) "checkpointed: same alerts" true
+        (fst live_ck = fst live && fst nil_ck = fst live);
+      Alcotest.(check bool) "checkpointed: same bytes on disk" true
+        (snd live_ck = snd nil_ck))
 
 let client_stats_snapshot =
   Alcotest.test_case "cumulative client stats accumulate and reset" `Quick

@@ -6,9 +6,12 @@
      pieces, WAL framing round-trips, torn tails and CRC-corrupt
      records truncate to the last valid record, snapshots commit
      atomically and absorb the WAL prefix they cover, a damaged
-     snapshot.bin is refused rather than skipped, and a deterministic
-     crash sweep over every write opportunity of a fixed
-     append/snapshot script leaves a clean prefix of the record stream;
+     snapshot.bin is refused rather than skipped, a flipped header bit
+     is caught like a flipped payload byte, the payload-only CRC format
+     still opens, a compaction is due once the WAL has outgrown the
+     snapshot, and a deterministic crash sweep over every write
+     opportunity of a fixed append/snapshot script leaves a clean
+     prefix of the record stream;
    - satellites: Engine.dump_facts survives a simulated partial write
      (stale temp files are invisible to readers), and a huge 429
      retry-after hint is clamped against the remaining retry budget
@@ -20,11 +23,13 @@
      and its first life's snapshot.bin and wal.log match
      golden/store_format.golden; a reorg-storm lane restarted
      mid-rewind still matches the clean monitor's alert keys; a rule
-     added across a restart alerts on the whole history;
+     added across a restart alerts on the whole history; a long steady
+     run's snapshots write at most twice its WAL bytes plus the first;
    - fleet crash sweep: the qcheck property "crash at any injected
      write point, restart, resume == uninterrupted run" over a
      nomad/ronin/attack-pack/exit fleet at --jobs 1 and 4, WAL and
-     snapshot write points alike (full 1..N sweep under
+     snapshot write points alike, every one of the six kinds present
+     (full 1..N sweep under
      XCW_CRASH_FULL=1, i.e. the @crash alias);
    - golden: the post-restart fleet health table is pinned in
      golden/recovery.golden, and a split (run, stop, resume) fleet run
@@ -45,6 +50,7 @@ module Report = Xcw_core.Report
 module Sup = Xcw_fleet.Supervisor
 module Bus = Xcw_fleet.Bus
 module Presets = Xcw_fleet.Presets
+module Metrics = Xcw_obs.Metrics
 
 let u = T.u
 
@@ -190,7 +196,10 @@ let prop_crc_pieces =
     (QCheck.make
        ~print:(fun ps -> String.concat " | " (List.map String.escaped ps))
        pieces_gen)
-    (fun ps -> Codec.crc32_pieces ps = Codec.crc32 (String.concat "" ps))
+    (fun ps ->
+      let whole = Codec.crc32 (String.concat "" ps) in
+      Codec.crc32_pieces ps = whole
+      && List.fold_left (fun crc p -> Codec.crc32 ~crc p) 0l ps = whole)
 
 (* ------------------------------------------------------------------ *)
 (* WAL + snapshot primitives                                           *)
@@ -296,6 +305,12 @@ let snapshot_recovery =
         (Store.append t2 "d");
       Store.close t2)
 
+(* [s] with bit [bit] of byte [off] flipped. *)
+let flip s off bit =
+  let raw = Bytes.of_string s in
+  Bytes.set raw off (Char.chr (Char.code (Bytes.get raw off) lxor (1 lsl bit)));
+  Bytes.to_string raw
+
 (* The WAL records a snapshot covers are truncated once it is written,
    so a damaged snapshot.bin cannot be skipped without losing them:
    opening the store refuses it, naming the file, and leaves it as
@@ -324,15 +339,19 @@ let damaged_snapshot_refused =
         Alcotest.(check string) (what ^ ": left as found") damaged
           (read_file snap)
       in
-      let flip off =
-        let raw = Bytes.of_string good in
-        Bytes.set raw off (Char.chr (Char.code (Bytes.get raw off) lxor 0x01));
-        Bytes.to_string raw
-      in
       (* Magic, payload length, CRC, then the last payload byte. *)
       List.iter
-        (fun off -> refused (Printf.sprintf "byte %d flipped" off) (flip off))
+        (fun off -> refused (Printf.sprintf "byte %d flipped" off) (flip good off 0))
         [ 0; 16; 24; String.length good - 1 ];
+      (* Every bit of the covered index (bytes 8-15) and of the length
+         (16-23): the CRC covers both. *)
+      for off = 8 to 23 do
+        for bit = 0 to 7 do
+          refused
+            (Printf.sprintf "byte %d bit %d flipped" off bit)
+            (flip good off bit)
+        done
+      done;
       refused "cut short" (String.sub good 0 (String.length good - 1));
       refused "cut inside the header" (String.sub good 0 10);
       write_file snap good;
@@ -340,6 +359,160 @@ let damaged_snapshot_refused =
       Store.close t;
       Alcotest.(check (option string)) "the intact snapshot still opens"
         (Some "state-after-1") r.Store.r_snapshot)
+
+(* A frame's CRC covers its length word and index: a flipped header bit
+   ends the scan at that frame, so no record comes back under an index
+   it was not written with, or with bytes it was not written with. *)
+let wal_header_flips =
+  Alcotest.test_case "a flipped frame header bit never moves a record"
+    `Quick (fun () ->
+      let dir = fresh_dir () in
+      let t, _ = Store.open_ ~dir () in
+      let written =
+        List.map (fun p -> (Store.append t p, p)) [ "one"; "two"; "three" ]
+      in
+      Store.close t;
+      let wal = Filename.concat dir "wal.log" in
+      let good = read_file wal in
+      (* Each frame is a 20-byte header (length word, index, CRC) and
+         its payload. *)
+      let frame_starts, _ =
+        List.fold_left
+          (fun (acc, pos) (_, p) -> (pos :: acc, pos + 20 + String.length p))
+          ([], 0) written
+      in
+      List.iter
+        (fun start ->
+          for off = start to start + 15 do
+            for bit = 0 to 7 do
+              write_file wal (flip good off bit);
+              let t, r = Store.open_ ~dir () in
+              Store.close t;
+              List.iter
+                (fun (i, p) ->
+                  if not (List.mem (i, p) written) then
+                    Alcotest.failf "byte %d bit %d: record %d %S was not written"
+                      off bit i p)
+                r.Store.r_records;
+              Alcotest.(check bool)
+                (Printf.sprintf "byte %d bit %d: the damaged frame is dropped"
+                   off bit)
+                true
+                (List.length r.Store.r_records < List.length written)
+            done
+          done)
+        frame_starts)
+
+(* The format before the CRC covered the headers: an [XCWSNAP1]
+   snapshot and frames whose CRC covers the payload alone, with an
+   unmarked length word. *)
+let payload_only_frame index payload =
+  let b = Buffer.create 32 in
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_int64_le b (Int64.of_int index);
+  Buffer.add_int32_le b (Codec.crc32 payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let payload_only_snapshot last payload =
+  let b = Buffer.create 32 in
+  Buffer.add_string b "XCWSNAP1";
+  Buffer.add_int64_le b (Int64.of_int last);
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_int32_le b (Codec.crc32 payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let payload_only_format_opens =
+  Alcotest.test_case
+    "a state directory in the payload-only CRC format opens unchanged"
+    `Quick (fun () ->
+      let dir = fresh_dir () in
+      Unix.mkdir dir 0o755;
+      let snap = Filename.concat dir "snapshot.bin" in
+      let wal = Filename.concat dir "wal.log" in
+      (* Record 2 is covered by the snapshot, as after a crash before
+         the WAL truncation; records 3 and 4 follow it. *)
+      write_file snap (payload_only_snapshot 2 "state-after-2");
+      write_file wal
+        (String.concat ""
+           [
+             payload_only_frame 2 "b";
+             payload_only_frame 3 "c";
+             payload_only_frame 4 "d";
+           ]);
+      let t, r = Store.open_ ~dir () in
+      Alcotest.(check (option string)) "snapshot payload" (Some "state-after-2")
+        r.Store.r_snapshot;
+      Alcotest.(check (list (pair int string)))
+        "the records after the snapshot"
+        [ (3, "c"); (4, "d") ]
+        r.Store.r_records;
+      Alcotest.(check int) "nothing truncated" 0 r.Store.r_truncated_bytes;
+      Alcotest.(check int) "the snapshot's size is the compaction threshold"
+        (String.length (read_file snap))
+        (Store.snapshot_bytes t);
+      Alcotest.(check int) "the uncut WAL, covered record included, counts"
+        (String.length (read_file wal))
+        (Store.wal_bytes t);
+      Alcotest.(check bool) "and has outgrown the snapshot" true
+        (Store.compaction_due t);
+      (* New frames follow the old ones in the same file. *)
+      Alcotest.(check int) "indices continue" 5 (Store.append t "e");
+      Store.close t;
+      let t, r = Store.open_ ~dir () in
+      Alcotest.(check (list (pair int string)))
+        "old and new frames read back together"
+        [ (3, "c"); (4, "d"); (5, "e") ]
+        r.Store.r_records;
+      (* A compaction rewrites the snapshot in the new format and
+         truncates every old frame. *)
+      Store.snapshot t [ "state-after-5" ];
+      Store.close t;
+      Alcotest.(check string) "new magic" "XCWSNAP2"
+        (String.sub (read_file snap) 0 8);
+      Alcotest.(check int) "old frames gone" 0
+        (String.length (read_file wal));
+      let t, r = Store.open_ ~dir () in
+      Store.close t;
+      Alcotest.(check (option string)) "compacted payload" (Some "state-after-5")
+        r.Store.r_snapshot;
+      Alcotest.(check (list (pair int string))) "no records" [] r.Store.r_records)
+
+(* The compaction rule: due with no snapshot, not due right after one,
+   due again once the WAL has grown as large as the snapshot. *)
+let compaction_rule =
+  Alcotest.test_case "compaction is due once the WAL outgrows the snapshot"
+    `Quick (fun () ->
+      let dir = fresh_dir () in
+      let t, _ = Store.open_ ~dir () in
+      Alcotest.(check int) "no snapshot: threshold 0" 0 (Store.snapshot_bytes t);
+      ignore (Store.append t "first");
+      Alcotest.(check bool) "the first record is due" true
+        (Store.compaction_due t);
+      Store.snapshot t [ String.make 100 's' ];
+      let size = Store.snapshot_bytes t in
+      Alcotest.(check int) "snapshot file size" size
+        (String.length (read_file (Filename.concat dir "snapshot.bin")));
+      Alcotest.(check bool) "not due after a snapshot" false
+        (Store.compaction_due t);
+      let rec grow n =
+        if Store.compaction_due t then n
+        else begin
+          ignore (Store.append t "0123456789");
+          grow (n + 1)
+        end
+      in
+      let n = grow 0 in
+      Alcotest.(check bool) "due once the WAL reaches the snapshot's size" true
+        (Store.wal_bytes t >= size && Store.wal_bytes t - 30 < size);
+      Alcotest.(check bool) "after several records" true (n > 1);
+      Store.close t;
+      (* The threshold survives a reopen. *)
+      let t, _ = Store.open_ ~dir () in
+      Alcotest.(check int) "threshold read back" size (Store.snapshot_bytes t);
+      Alcotest.(check bool) "still due" true (Store.compaction_due t);
+      Store.close t)
 
 (* Deterministic store-level crash sweep: run a fixed append/snapshot
    script once per write opportunity, crashing at each; after every
@@ -507,8 +680,8 @@ let monitor_resume =
       in
       let dir = fresh_dir () in
       let hwm = ref 0 in
-      (* First life: snapshot every 2 polls, stop after the third. *)
-      let ck1 = Monitor.Checkpoint.open_ ~snapshot_every:2 ~dir () in
+      (* First life: stop after the third poll. *)
+      let ck1 = Monitor.Checkpoint.open_ ~dir () in
       let mon1 = Monitor.create ~checkpoint:ck1 input in
       let first, rest =
         (List.filteri (fun i _ -> i < 3) snaps,
@@ -533,8 +706,17 @@ let monitor_resume =
                 Printf.sprintf "%s bytes=%d crc32=%08lx\n" file
                   (String.length raw) (Codec.crc32 raw))
               [ "snapshot.bin"; "wal.log" ]));
+      (* The restart below recovers from a snapshot plus a WAL tail:
+         the first poll compacted at once, and the next two records
+         stayed in the WAL, smaller than that snapshot. *)
+      (let store, r = Store.open_ ~dir () in
+       Store.close store;
+       Alcotest.(check bool) "snapshot.bin written" true
+         (r.Store.r_snapshot <> None);
+       Alcotest.(check int) "WAL records after the snapshot" 2
+         (List.length r.Store.r_records));
       (* Second life: recover and replay the remaining timeline. *)
-      let ck2 = Monitor.Checkpoint.open_ ~snapshot_every:2 ~dir () in
+      let ck2 = Monitor.Checkpoint.open_ ~dir () in
       let mon2 = Monitor.create ~checkpoint:ck2 input in
       Alcotest.(check bool) "decoded facts recovered" true
         (Monitor.cached_facts mon2 = facts1);
@@ -575,7 +757,7 @@ let monitor_resume =
            (Monitor.poll genesis ~source_block:sb ~target_block:tb));
       (* Exactly-once: a third life's first poll at the last durable
          cursors re-decodes and re-alerts nothing. *)
-      let ck3 = Monitor.Checkpoint.open_ ~snapshot_every:2 ~dir () in
+      let ck3 = Monitor.Checkpoint.open_ ~dir () in
       let mon3 = Monitor.create ~checkpoint:ck3 input in
       Alcotest.(check string) "resumed poll at the durable cursors is silent"
         ""
@@ -697,7 +879,7 @@ let rule_added_across_restart =
              alerts)
       in
       let dir = fresh_dir () in
-      let ck1 = Monitor.Checkpoint.open_ ~snapshot_every:1 ~dir () in
+      let ck1 = Monitor.Checkpoint.open_ ~dir () in
       let mon1 =
         Monitor.create ~checkpoint:ck1 { input with Detector.i_program = older }
       in
@@ -705,7 +887,7 @@ let rule_added_across_restart =
         finality (Monitor.poll mon1 ~source_block:sb ~target_block:tb)
       in
       Monitor.Checkpoint.close ck1;
-      let ck2 = Monitor.Checkpoint.open_ ~snapshot_every:1 ~dir () in
+      let ck2 = Monitor.Checkpoint.open_ ~dir () in
       let mon2 = Monitor.create ~checkpoint:ck2 input in
       let after =
         finality (Monitor.poll mon2 ~source_block:sb ~target_block:tb)
@@ -722,6 +904,52 @@ let rule_added_across_restart =
         (List.length fresh);
       Alcotest.(check (list (triple string string string)))
         "the restarted monitor emits the same keys" fresh after)
+
+(* Compaction keeps a long run's snapshot bytes linear in its WAL
+   bytes: a steady monitor that decodes a slice of the history at each
+   of 400 polls writes, in all its snapshots together, at most twice
+   its WAL bytes plus its first snapshot.  Snapshotting every k-th poll
+   instead writes the whole state 400/k times, quadratic in the run. *)
+let compaction_bytes_bound =
+  Alcotest.test_case "snapshot bytes stay within twice the WAL over 400 polls"
+    `Quick (fun () ->
+      let built = Xcw_workload.Nomad.build ~seed:42 ~scale:0.01 () in
+      let input =
+        Presets.input_of ~built ~plugin:Xcw_core.Decoder.nomad_plugin
+          ~label:"nomad"
+      in
+      let head c = List.length (Xcw_chain.Chain.all_blocks c) in
+      let sh = head input.Detector.i_source_chain in
+      let th = head input.Detector.i_target_chain in
+      let metrics = Metrics.create () in
+      let counter ?labels name =
+        match Metrics.find (Metrics.snapshot metrics) ?labels name with
+        | Some { Metrics.m_value = Metrics.V_counter n; _ } -> n
+        | _ -> Alcotest.failf "missing counter %s" name
+      in
+      let bytes kind =
+        counter ~labels:[ ("kind", kind) ] "xcw_monitor_checkpoint_bytes_total"
+      in
+      let ck = Monitor.Checkpoint.open_ ~dir:(fresh_dir ()) () in
+      let mon = Monitor.create ~metrics ~checkpoint:ck input in
+      let polls = 400 in
+      let first = ref 0 in
+      for i = 1 to polls do
+        ignore
+          (Monitor.poll mon ~source_block:(sh * i / polls)
+             ~target_block:(th * i / polls));
+        if i = 1 then first := bytes "snapshot"
+      done;
+      Monitor.Checkpoint.close ck;
+      let wal = bytes "wal" and snapshots = bytes "snapshot" in
+      let n = counter "xcw_monitor_snapshots_total" in
+      Alcotest.(check bool) "the first poll compacted" true (!first > 0);
+      Alcotest.(check bool) "and later polls compacted again" true (n > 2);
+      if snapshots > (2 * wal) + !first then
+        Alcotest.failf
+          "%d snapshots wrote %d bytes, over 2 x %d WAL bytes + %d for the \
+           first"
+          n snapshots wal !first)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet crash sweep                                                   *)
@@ -750,10 +978,11 @@ let render_fleet_stream fas =
 
 (* Drive a durable fleet to [sweep_rounds], restarting (without the
    plan — a process crashes once) whenever the injected crash fires.
-   Lanes and the supervisor snapshot every 2 rounds, so the crash space
-   holds snapshot write points (torn temp, pre-rename, pre-truncate) as
-   well as WAL ones, and restarts recover from a snapshot plus a WAL
-   tail.  The consumer dedups by [fa_seq] high-water mark, exactly as
+   The supervisor snapshots every 2 rounds and each lane whenever its
+   WAL has outgrown its last snapshot (at once, on its first poll), so
+   the crash space holds snapshot write points (torn temp, pre-rename,
+   pre-truncate) as well as WAL ones, and restarts recover from a
+   snapshot plus a WAL tail.  The consumer dedups by [fa_seq] high-water mark, exactly as
    the Supervisor docs prescribe.  Returns the merged emission stream
    and how many crashes were survived. *)
 let drive_fleet ~jobs ~dir ~crash =
@@ -787,9 +1016,9 @@ let drive_fleet ~jobs ~dir ~crash =
   go crash;
   (List.rev !stream, !crashes)
 
-(* Uninterrupted baseline per jobs setting, computed once; the counting
-   plan also sizes the 1..N crash space. *)
-let baselines : (int, string * int) Hashtbl.t = Hashtbl.create 4
+(* Uninterrupted baseline per jobs setting, computed once, with its
+   counting plan, which sizes the 1..N crash space. *)
+let baselines : (int, string * Crash_plan.t) Hashtbl.t = Hashtbl.create 4
 
 let baseline ~jobs =
   match Hashtbl.find_opt baselines jobs with
@@ -800,7 +1029,15 @@ let baseline ~jobs =
         drive_fleet ~jobs ~dir:(fresh_dir ()) ~crash:(Some count)
       in
       assert (crashes = 0);
-      let b = (render_fleet_stream stream, Crash_plan.ops count) in
+      (* The sweep is only as good as its crash space: every kind of
+         write point must occur in it. *)
+      List.iter
+        (fun (point, n) ->
+          if n = 0 then
+            Alcotest.failf "jobs=%d: the sweep reaches no %s point" jobs
+              (Crash_plan.point_name point))
+        (Crash_plan.counts count);
+      let b = (render_fleet_stream stream, count) in
       Hashtbl.replace baselines jobs b;
       b
 
@@ -821,8 +1058,8 @@ let prop_crash_sweep =
     ~name:"crash at any write point, restart, resume == uninterrupted"
     QCheck.(pair (oneofl [ 1; 4 ]) (int_bound 1_000_000))
     (fun (jobs, pick) ->
-      let _, n = baseline ~jobs in
-      let k = 1 + (pick mod n) in
+      let _, plan = baseline ~jobs in
+      let k = 1 + (pick mod Crash_plan.ops plan) in
       check_crash_at ~jobs k)
 
 (* The exhaustive 1..N sweep at both worker counts — minutes, not
@@ -835,8 +1072,15 @@ let full_crash_sweep =
       | Some _ ->
           List.iter
             (fun jobs ->
-              let _, n = baseline ~jobs in
-              Printf.printf "sweeping %d crash points at --jobs %d\n%!" n jobs;
+              let _, plan = baseline ~jobs in
+              let n = Crash_plan.ops plan in
+              Printf.printf "sweeping %d crash points at --jobs %d (%s)\n%!" n
+                jobs
+                (String.concat ", "
+                   (List.map
+                      (fun (p, k) ->
+                        Printf.sprintf "%s %d" (Crash_plan.point_name p) k)
+                      (Crash_plan.counts plan)));
               for k = 1 to n do
                 ignore (check_crash_at ~jobs k)
               done)
@@ -931,10 +1175,19 @@ let () =
           wal_corrupt_record;
           snapshot_recovery;
           damaged_snapshot_refused;
+          wal_header_flips;
+          payload_only_format_opens;
+          compaction_rule;
         ] );
       ("crash-store", [ store_crash_sweep ]);
       ("satellites", [ dump_facts_atomic; retry_after_clamped ]);
-      ("monitor", [ monitor_resume; reorg_restart; rule_added_across_restart ]);
+      ( "monitor",
+        [
+          monitor_resume;
+          reorg_restart;
+          rule_added_across_restart;
+          compaction_bytes_bound;
+        ] );
       ( "fleet",
         [ QCheck_alcotest.to_alcotest prop_crash_sweep; full_crash_sweep ] );
       ("golden", [ recovery_golden ]);
