@@ -19,12 +19,47 @@ let str_at (t : const array) i =
 let int_at (t : const array) i =
   match t.(i) with Int n -> n | Str _ -> invalid_arg "int_at: string field"
 
+let alert_relations =
+  Rules.
+    [
+      (* the anomaly relations *)
+      r_transfer_to_bridge_no_event;
+      r_sc_deposit_event_no_escrow;
+      r_unmatched_sc_native_deposit;
+      r_unmatched_sc_erc20_deposit;
+      r_unmatched_tc_deposit;
+      r_unmatched_tc_native_withdrawal;
+      r_unmatched_tc_erc20_withdrawal;
+      r_unmatched_sc_withdrawal;
+      r_reverted_bridge_interaction;
+      r_tc_withdraw_event_no_escrow;
+      r_transfer_from_bridge_no_event;
+      (* the memberships that classify an unmatched record *)
+      r_deposit_finality_violation;
+      r_withdrawal_finality_violation;
+      r_deposit_mapping_violation;
+      r_withdrawal_mapping_violation;
+      r_deposit_beneficiary_mismatch;
+      r_withdrawal_beneficiary_mismatch;
+      (* the accounting relations *)
+      r_acc_stale_root_claim;
+      r_acc_forged_exit_proof;
+      r_acc_root_divergence;
+      r_acc_outflow_tx;
+      r_acc_slashing_evasion;
+    ]
+
 let alert_rows ~(config : Config.t) ~(pricing : Pricing.t)
     ~(first_window_withdrawal_id : int option)
     ~(decode_errors : Decoder.decode_error list) ~(db : Engine.db) =
   let src_chain_id = config.Config.source_chain_id in
   let dst_chain_id = config.Config.target_chain_id in
-  let facts_of = Engine.facts db in
+  (* A relation read here but missing from [alert_relations] would let
+     a monitor skip a scan that finds a new anomaly. *)
+  let facts_of pred =
+    assert (List.mem pred alert_relations);
+    Engine.facts db pred
+  in
   let count_of = Engine.fact_count db in
   let membership pred positions =
     let tbl = Hashtbl.create 64 in

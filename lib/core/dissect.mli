@@ -8,6 +8,16 @@ val str_at : Xcw_datalog.Ast.const array -> int -> string
 val int_at : Xcw_datalog.Ast.const array -> int -> int
 (** Tuple field as an int; raises [Invalid_argument] on strings. *)
 
+val alert_relations : string list
+(** Every relation whose tuples can produce or reclassify an alert:
+    the anomaly relations, the finality, token-mapping and
+    beneficiary-mismatch memberships that classify an unmatched record,
+    and the accounting relations.  {!alert_rows} reads no other
+    relation's tuples (it asserts so), so if none of these changed and
+    no decode error came or went, a new scan finds only what the last
+    one found.  The [rr_captured] counts are left out: no alert reads
+    them, and they grow on every poll that sees a valid transfer. *)
+
 val alert_rows :
   config:Config.t ->
   pricing:Pricing.t ->

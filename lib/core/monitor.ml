@@ -8,22 +8,39 @@
     dominates cost — Table 2), re-evaluates the rules, and emits alerts
     for anomalies that were not present at the previous poll.
 
-    Steady-state evaluation is incremental: the monitor keeps one
-    persistent [Engine.db] across polls, loads only the freshly decoded
-    facts, and lets [Engine.run_incremental] treat them as the initial
-    semi-naive delta — strata untouched by the new facts do no work,
-    and the non-monotonic anomaly relations (an "unmatched" deposit
-    becomes matched when its completion lands) are retracted and
-    re-derived in place.  The bookkeeping around it is O(new receipts)
-    too: a per-side receipt index extended through
-    [Chain.receipts_from], fact and trace-gap counts kept on entry add
-    and remove, a decode-error list rebuilt only when an entry carrying
-    errors comes or goes, and an alert scan over the rule and
-    accounting rows only (the full report is built on demand by
-    {!last_report}).  What a poll still pays per unit of history: the
-    negation strata that [run_incremental] recomputes from scratch (8
-    per Nomad stream poll) and the anomaly-row scan (each anomaly
-    relation is read and sorted whole).
+    Steady-state evaluation is incremental: the monitor plans its
+    program once, at creation ([Engine.prepare]: checked, stratified,
+    compiled, instruments resolved), keeps one persistent [Engine.db]
+    across polls, loads only the freshly decoded facts, and lets
+    [Engine.run_incremental] treat them as the initial semi-naive
+    delta — strata untouched by the new facts do no work, and the
+    non-monotonic anomaly relations (an "unmatched" deposit becomes
+    matched when its completion lands) are retracted and re-derived in
+    place.  The run returns what it changed, relation by relation.
+
+    The alert scan reads the relations {!Dissect.alert_relations}
+    declares and the decode errors, and nothing else that can change.
+    A synced poll therefore scans only when one of those relations
+    changed, or an entry carrying decode errors came or went, since the
+    last scan that ran; otherwise every anomaly it would find has
+    already alerted.  Unsynced polls never scan, so their changes are
+    carried to the next synced poll.  A fresh database gets a full
+    run, which counts every relation it evaluated as changed, so the
+    first poll after creation, recovery or a reorg rewind scans, and so
+    does every poll of [create ~incremental:false].
+
+    The bookkeeping around evaluation is O(new receipts): a per-side
+    receipt index extended through [Chain.receipts_from], fact and
+    trace-gap counts kept on entry add and remove, and a decode-error
+    list rebuilt only when an entry carrying errors comes or goes (the
+    full report is built on demand by {!last_report}).  A poll that
+    decodes nothing evaluates nothing, and scans only to catch up on
+    what unsynced polls loaded.  What a poll that
+    loads facts still pays per unit of history: the negation strata
+    that [run_incremental] recomputes and diffs from scratch (8 per
+    Nomad stream poll), each semi-naive occurrence's full scans of the
+    literals left of its delta, and — when a declared relation changed
+    — a scan that reads and sorts every anomaly relation whole.
 
     With a checkpoint, a poll appends one WAL record of what it decoded
     and, when the store says a compaction is due
@@ -41,9 +58,9 @@
     rewind, and on every poll of [create ~incremental:false] (the
     original rebuild-everything behaviour, kept for comparison; see the
     [monitor_steady_state] bench).  The first poll on a fresh database
-    evaluates the whole program, so a restart costs one full
-    evaluation, and rules added since the snapshot see the whole
-    history.
+    evaluates the whole program with the monitor's plan, so a restart
+    costs one full evaluation, and rules added since the snapshot see
+    the whole history.
 
     The monitor degrades gracefully under RPC faults (see
     {!Xcw_rpc.Fault}): a receipt whose fetch or decode fails stays
@@ -266,6 +283,9 @@ type side = {
   mutable sd_errors : Decoder.decode_error list option;
       (** decode errors in receipt order; [None] after an entry carrying
           errors was added or removed *)
+  mutable sd_errors_moved : bool;
+      (** an entry carrying errors was added or removed since the last
+          alert scan *)
 }
 
 type health = {
@@ -286,6 +306,8 @@ type monitor_obs = {
   mo_alerts : Metrics.Counter.t;
   mo_reorgs : Metrics.Counter.t;
   mo_poll_seconds : Metrics.Histogram.t;
+  mo_scans_run : Metrics.Counter.t;
+  mo_scans_skipped : Metrics.Counter.t;
   mo_synced : Metrics.Gauge.t;
   mo_pending_src : Metrics.Gauge.t;
   mo_pending_dst : Metrics.Gauge.t;
@@ -302,9 +324,14 @@ type t = {
   m_incremental : bool;
   m_metrics : Metrics.t;
   m_obs : monitor_obs;
+  m_plan : Engine.plan;  (** the input's program, planned once *)
   (* Persistent Datalog database for incremental evaluation; built by
      [fresh_db] at creation and again after a reorg rewind. *)
   mutable m_db : Engine.db;
+  (* A relation of [Dissect.alert_relations] changed since the last
+     alert scan ran: unsynced polls do not scan, so their changes wait
+     here for the next synced one. *)
+  mutable m_scan_due : bool;
   (* Anomaly keys already alerted: (rule, class name, tx hash). *)
   m_known : (string * string * string, unit) Hashtbl.t;
   mutable m_polls : int;
@@ -345,6 +372,7 @@ let make_side ~input ~role ~chain ~profile ~fault ~endpoint_faults ~seed
     sd_facts = 0;
     sd_trace_gaps = 0;
     sd_errors = Some [];
+    sd_errors_moved = false;
   }
 
 let make_obs reg =
@@ -354,6 +382,12 @@ let make_obs reg =
     mo_alerts = Metrics.counter reg "xcw_monitor_alerts_total";
     mo_reorgs = Metrics.counter reg "xcw_monitor_reorgs_total";
     mo_poll_seconds = Metrics.histogram reg "xcw_monitor_poll_seconds";
+    mo_scans_run =
+      Metrics.counter reg ~labels:[ ("outcome", "run") ]
+        "xcw_monitor_alert_scans_total";
+    mo_scans_skipped =
+      Metrics.counter reg ~labels:[ ("outcome", "skipped") ]
+        "xcw_monitor_alert_scans_total";
     mo_synced = Metrics.gauge reg "xcw_monitor_synced";
     mo_pending_src =
       Metrics.gauge reg ~labels:[ ("side", "source") ] "xcw_monitor_pending";
@@ -382,14 +416,20 @@ let remove_entry s i =
       Hashtbl.remove s.sd_entries i;
       s.sd_facts <- s.sd_facts - List.length e.e_facts;
       if e.e_trace_gap then s.sd_trace_gaps <- s.sd_trace_gaps - 1;
-      if e.e_errors <> [] then s.sd_errors <- None
+      if e.e_errors <> [] then begin
+        s.sd_errors <- None;
+        s.sd_errors_moved <- true
+      end
 
 let add_entry s i e =
   remove_entry s i;
   Hashtbl.replace s.sd_entries i e;
   s.sd_facts <- s.sd_facts + List.length e.e_facts;
   if e.e_trace_gap then s.sd_trace_gaps <- s.sd_trace_gaps + 1;
-  if e.e_errors <> [] then s.sd_errors <- None
+  if e.e_errors <> [] then begin
+    s.sd_errors <- None;
+    s.sd_errors_moved <- true
+  end
 
 let side_errors s =
   match s.sd_errors with
@@ -658,7 +698,11 @@ let create ?(incremental = true) ?metrics ?checkpoint (input : Detector.input)
       m_incremental = incremental;
       m_metrics = metrics;
       m_obs = make_obs metrics;
+      m_plan =
+        Engine.prepare ~metrics ~aggregates:Rules.aggregates
+          input.Detector.i_program;
       m_db = Engine.create_db () (* built below, after recovery *);
+      m_scan_due = false;
       m_known = Hashtbl.create 256;
       m_polls = 0;
       m_evaluated = None;
@@ -771,6 +815,55 @@ let poll_side t s ~up_to_block =
       in
       (fresh, rewound, removed, List.rev !added)
 
+(* The alert scan: every anomaly of the rule and accounting rows not
+   alerted before becomes an alert.  Only the rows an alert can come
+   from are built: the cctx dataset and the attack tables grow with the
+   history and are built on demand by {!last_report}. *)
+let scan t ~source_block ~target_block db =
+  let rows, acc_rows =
+    Dissect.alert_rows ~config:t.m_input.Detector.i_config
+      ~pricing:t.m_input.Detector.i_pricing
+      ~first_window_withdrawal_id:t.m_input.Detector.i_first_window_withdrawal_id
+      ~decode_errors:(all_decode_errors t) ~db
+  in
+  (* Accounting hits alert through the same dedup/sequence machinery as
+     rule rows: each becomes an anomaly of class [Accounting xr_class],
+     keyed by its accounting relation. *)
+  let acc_anomalies row =
+    let cls = Report.Accounting row.Report.xr_class in
+    List.map
+      (fun h ->
+        {
+          Report.a_class = cls;
+          a_tx_hash = h.Report.ah_tx_hash;
+          a_chain_id = h.Report.ah_chain_id;
+          a_usd_value = h.Report.ah_usd_value;
+          a_detail = h.Report.ah_detail;
+        })
+      row.Report.xr_hits
+  in
+  List.map (fun row -> (row.Report.rr_rule, row.Report.rr_anomalies)) rows
+  @ List.map (fun row -> (row.Report.xr_rule, acc_anomalies row)) acc_rows
+  |> List.concat_map (fun (rule, anomalies) ->
+         List.filter_map
+           (fun a ->
+             let key =
+               (rule, Report.class_name a.Report.a_class, a.Report.a_tx_hash)
+             in
+             if Hashtbl.mem t.m_known key then None
+             else begin
+               Hashtbl.replace t.m_known key ();
+               t.m_seq <- t.m_seq + 1;
+               Some
+                 {
+                   al_seq = t.m_seq;
+                   al_anomaly = a;
+                   al_rule = rule;
+                   al_detected_at = (source_block, target_block);
+                 }
+             end)
+           anomalies)
+
 (** Advance the monitor to the given block cursors; returns alerts for
     anomalies that appeared since the previous poll.  Under fault
     injection a poll may return no alerts simply because one side is
@@ -813,34 +906,31 @@ and poll_body t ~source_block ~target_block =
     poll_side t t.m_dst ~up_to_block:target_block
   in
   let rewound = src_rewound || dst_rewound in
-  let fresh_facts = src_fresh @ dst_fresh in
   let db =
-    if t.m_incremental then begin
+    if not t.m_incremental then
+      (* From-scratch reference mode: rebuild the full database. *)
+      fresh_db t
+    else begin
       if rewound then
         (* Facts from replaced blocks are gone: rebuild the persistent
-           database from the surviving entries; the [run_incremental]
-           below re-derives everything. *)
+           database from the surviving entries; the run below
+           re-derives everything. *)
         t.m_db <- fresh_db t
       else
         (* Load only the delta; strata unaffected by the fresh facts
            are skipped by the engine. *)
-        ignore (Facts.load_all t.m_db fresh_facts);
-      ignore
-        (Engine.run_incremental ~metrics:t.m_metrics
-           ~ndomains:t.m_input.Detector.i_ndomains
-           ~aggregates:Rules.aggregates t.m_db t.m_input.Detector.i_program);
+        ignore (Facts.load_all t.m_db (src_fresh @ dst_fresh));
       t.m_db
     end
-    else begin
-      (* From-scratch reference mode: rebuild the full database. *)
-      let db = fresh_db t in
-      ignore
-        (Engine.run ~metrics:t.m_metrics
-           ~ndomains:t.m_input.Detector.i_ndomains
-           ~aggregates:Rules.aggregates db t.m_input.Detector.i_program);
-      db
-    end
   in
+  (* A fresh database gets a full run, which counts every relation it
+     evaluated as changed: the first poll after creation, recovery or a
+     rewind, and every from-scratch poll, scans. *)
+  let _, changes =
+    Engine.run_incremental ~ndomains:t.m_input.Detector.i_ndomains t.m_plan db
+  in
+  if List.exists (Engine.changed changes) Dissect.alert_relations then
+    t.m_scan_due <- true;
   t.m_evaluated <- Some db;
   let pending_src = pending_count t.m_src in
   let pending_dst = pending_count t.m_dst in
@@ -848,59 +938,25 @@ and poll_body t ~source_block ~target_block =
      head lag), the database holds a partial cross-chain view whose
      transient unmatched anomalies would both false-alert now and
      poison [m_known] against the real alert later.  Clean runs are
-     always synced, so this changes nothing fault-free. *)
+     always synced, so this changes nothing fault-free.  A synced poll
+     scans only when what the scan reads has changed since the last
+     scan: otherwise every anomaly it would find is already in
+     [m_known]. *)
   let alerts =
     if pending_src > 0 || pending_dst > 0 then []
+    else if
+      not (t.m_scan_due || t.m_src.sd_errors_moved || t.m_dst.sd_errors_moved)
+    then begin
+      Metrics.Counter.inc t.m_obs.mo_scans_skipped;
+      []
+    end
     else begin
-      (* Only the rows an alert can come from: the cctx dataset and the
-         attack tables grow with the history and are built on demand
-         by {!last_report}. *)
-      let rows, acc_rows =
-        Dissect.alert_rows ~config:t.m_input.Detector.i_config
-          ~pricing:t.m_input.Detector.i_pricing
-          ~first_window_withdrawal_id:
-            t.m_input.Detector.i_first_window_withdrawal_id
-          ~decode_errors:(all_decode_errors t) ~db
-      in
-      (* Accounting hits alert through the same dedup/sequence
-         machinery as rule rows: each becomes an anomaly of class
-         [Accounting xr_class], keyed by its accounting relation. *)
-      let acc_anomalies row =
-        let cls = Report.Accounting row.Report.xr_class in
-        List.map
-          (fun h ->
-            {
-              Report.a_class = cls;
-              a_tx_hash = h.Report.ah_tx_hash;
-              a_chain_id = h.Report.ah_chain_id;
-              a_usd_value = h.Report.ah_usd_value;
-              a_detail = h.Report.ah_detail;
-            })
-          row.Report.xr_hits
-      in
-      List.map (fun row -> (row.Report.rr_rule, row.Report.rr_anomalies)) rows
-      @ List.map (fun row -> (row.Report.xr_rule, acc_anomalies row)) acc_rows
-      |> List.concat_map (fun (rule, anomalies) ->
-             List.filter_map
-               (fun a ->
-                 let key =
-                   ( rule,
-                     Report.class_name a.Report.a_class,
-                     a.Report.a_tx_hash )
-                 in
-                 if Hashtbl.mem t.m_known key then None
-                 else begin
-                   Hashtbl.replace t.m_known key ();
-                   t.m_seq <- t.m_seq + 1;
-                   Some
-                     {
-                       al_seq = t.m_seq;
-                       al_anomaly = a;
-                       al_rule = rule;
-                       al_detected_at = (source_block, target_block);
-                     }
-                 end)
-               anomalies)
+      let alerts = scan t ~source_block ~target_block db in
+      t.m_scan_due <- false;
+      t.m_src.sd_errors_moved <- false;
+      t.m_dst.sd_errors_moved <- false;
+      Metrics.Counter.inc t.m_obs.mo_scans_run;
+      alerts
     end
   in
   (* Durability point: the record (cursor delta + alert seqs) hits the

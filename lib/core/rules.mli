@@ -134,7 +134,7 @@ val r_acc_slashing_evasion : string
 
 val aggregates : Xcw_datalog.Engine.aggregate list
 (** The two grouped-sum declarations behind the [*_total] relations;
-    pass to [Engine.run]/[run_incremental] alongside {!program}. *)
+    pass to [Engine.run] or [Engine.prepare] alongside {!program}. *)
 
 (** {1 The program} *)
 

@@ -442,17 +442,29 @@ end
    streaming monitor keeps one per bridge): [db_journal] records EDB
    tuples inserted since the last run — the initial semi-naive delta of
    [run_incremental] — and [db_derived] records which predicates the
-   engine itself populates, so retraction can clear exactly those. *)
+   engine itself populates, so retraction can clear exactly those.
+   Nothing is journaled before the first run, which evaluates the
+   whole program and reads no delta. *)
 type db = {
   db_rels : (string, Relation.t) Hashtbl.t;
   db_journal : (string, Relation.tuple list ref) Hashtbl.t;
   db_derived : (string, unit) Hashtbl.t;
   mutable db_ran : bool;  (** at least one evaluation has completed *)
   mutable db_gen : int;
-      (** bumped whenever a relation is created — the only change the
+      (** renewed whenever a relation is created — the only change the
           evaluator's per-atom relation-handle caches need to observe
-          (relations are never replaced or removed, only added). *)
+          (relations are never replaced or removed, only added).  Drawn
+          from {!generations}, so no two databases ever share one. *)
 }
+
+(* One counter for the whole process, not one per database: a plan's
+   compiled rules outlive any one database (a monitor rebuilds its
+   database after a reorg rewind or a restart, creating the same
+   relations in the same order), and an atom's cached relation must
+   never be taken for another database's because their creation
+   counts happen to agree. *)
+let generations = Atomic.make 0
+let next_generation () = Atomic.fetch_and_add generations 1 + 1
 
 let create_db () : db =
   {
@@ -460,7 +472,7 @@ let create_db () : db =
     db_journal = Hashtbl.create 16;
     db_derived = Hashtbl.create 16;
     db_ran = false;
-    db_gen = 0;
+    db_gen = next_generation ();
   }
 
 let relation (db : db) pred =
@@ -469,20 +481,23 @@ let relation (db : db) pred =
   | None ->
       let r = Relation.create () in
       Hashtbl.replace db.db_rels pred r;
-      db.db_gen <- db.db_gen + 1;
+      db.db_gen <- next_generation ();
       r
 
 (** [insert_packed db pred tuple] inserts an already-packed tuple and
     returns [true] iff it is new.  The fact-loading hot path: no
     [const] boxes are ever allocated.  The array is owned by the
-    database afterwards — callers must not mutate it.  New tuples are
-    journaled as part of the delta for the next {!run_incremental}. *)
+    database afterwards — callers must not mutate it.  Once the
+    database has been evaluated, new tuples are journaled as part of
+    the delta for the next {!run_incremental}. *)
 let insert_packed (db : db) pred (t : Relation.tuple) =
   Relation.add (relation db pred) t
   && begin
-       (match Hashtbl.find_opt db.db_journal pred with
-       | Some l -> l := t :: !l
-       | None -> Hashtbl.replace db.db_journal pred (ref [ t ]));
+       if db.db_ran then begin
+         match Hashtbl.find_opt db.db_journal pred with
+         | Some l -> l := t :: !l
+         | None -> Hashtbl.replace db.db_journal pred (ref [ t ])
+       end;
        true
      end
 
@@ -740,11 +755,13 @@ type slot_term = S_const of int | S_var of int
 (* [c_rel]/[c_gen] cache the atom's relation handle per database
    generation: resolving the predicate through [db_rels] costs a string
    hash per probe, and the resolution can only change when a relation
-   is created ([db_gen] bumps).  Compiled rules are per-run (each
-   stratum evaluation recompiles), so a cache never outlives its
-   database.  During a parallel pass the caches are pre-resolved on the
-   submitting domain ([resolve_caches]) and [db_gen] is frozen, so
-   worker domains only ever {e read} them. *)
+   is created ([db_gen] renews).  Rules are compiled once per {!plan}
+   and evaluated against every database the plan runs on; a cache
+   filled on one database never matches another's generation, since
+   generations are unique across databases.  During a parallel pass
+   the caches are pre-resolved on the submitting domain
+   ([resolve_caches]) and [db_gen] is frozen, so worker domains only
+   ever {e read} them. *)
 type compiled_atom = {
   c_pred : string;
   c_args : slot_term array;
@@ -786,10 +803,10 @@ type compiled_rule = {
   cr_nvars : int;
   cr_head : compiled_atom;
   cr_body : compiled_literal array;
-  cr_source : rule;
+  cr_seconds : Metrics.Histogram.t;  (* [xcw_datalog_rule_seconds] *)
 }
 
-let compile_rule (r : rule) : compiled_rule =
+let compile_rule ~seconds (r : rule) : compiled_rule =
   let slots = Hashtbl.create 16 in
   let nvars = ref 0 in
   let slot_of v =
@@ -867,7 +884,7 @@ let compile_rule (r : rule) : compiled_rule =
     cr_nvars = !nvars;
     cr_head = head;
     cr_body = Array.of_list body;
-    cr_source = r;
+    cr_seconds = seconds;
   }
 
 (* The environment: one packed constant per variable slot.  [min_int]
@@ -1160,15 +1177,14 @@ let recommended_gc_setup () =
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
 
-(* Observability context for one evaluation run.  Per-rule histograms
-   are resolved up front (keyed by the rule's physical identity, which
-   [stratify] preserves) so the per-evaluation cost is one [assq]
-   lookup and two [gettimeofday] calls — and nothing at all when the
-   registry is disabled. *)
+(* Observability context of a plan: the instruments every evaluation
+   records into, resolved once by {!prepare}.  The per-rule histograms
+   live in the compiled rules ([cr_seconds]) and the per-stratum ones in
+   the stratum plans, so an evaluation looks nothing up; with the
+   registry disabled it makes no timing calls at all. *)
 type engine_obs = {
   eo_reg : Metrics.t;
   eo_live : bool;
-  eo_rule_hist : (rule * Metrics.Histogram.t) list;
   eo_strata_skipped : Metrics.Counter.t;
   eo_strata_seminaive : Metrics.Counter.t;
   eo_strata_recomputed : Metrics.Counter.t;
@@ -1182,18 +1198,10 @@ type engine_obs = {
    and survives predicates with several rules: "07:cctx_deposit". *)
 let rule_label i (r : rule) = Printf.sprintf "%02d:%s" i r.head.pred
 
-let make_obs reg (program : program) =
+let make_obs reg =
   {
     eo_reg = reg;
     eo_live = Metrics.enabled reg;
-    eo_rule_hist =
-      List.mapi
-        (fun i r ->
-          ( r,
-            Metrics.histogram reg
-              ~labels:[ ("rule", rule_label i r) ]
-              "xcw_datalog_rule_seconds" ))
-        program.rules;
     eo_strata_skipped = Metrics.counter reg "xcw_datalog_strata_skipped_total";
     eo_strata_seminaive =
       Metrics.counter reg "xcw_datalog_strata_seminaive_total";
@@ -1205,27 +1213,36 @@ let make_obs reg (program : program) =
     eo_par_tasks = Metrics.counter reg "xcw_datalog_parallel_tasks_total";
   }
 
+(* One stratum, as {!prepare} leaves it: its rules compiled, and the
+   predicates it derives, reads positively and reads under negation —
+   all an incremental run needs to decide between skipping, semi-naive
+   insertion and recomputation. *)
+type stratum_plan = {
+  sp_label : string;  (* its position in the plan, as a metric label *)
+  sp_recursive : bool;
+  sp_compiled : compiled_rule list;
+  sp_heads : string list;  (* sorted, unique *)
+  sp_pos : string list;  (* read positively; unique *)
+  sp_neg : string list;  (* read under negation; unique *)
+  sp_seconds : Metrics.Histogram.t;  (* [xcw_datalog_stratum_seconds] *)
+}
+
 (* Time one stratum into its labelled histogram and a span on the
    default tracer; a no-op (beyond running [f]) when metrics are off. *)
-let with_stratum obs i recursive ~mode f =
+let with_stratum obs sp ~mode f =
   if not obs.eo_live then f ()
   else begin
-    let h =
-      Metrics.histogram obs.eo_reg
-        ~labels:[ ("stratum", string_of_int i) ]
-        "xcw_datalog_stratum_seconds"
-    in
     let attrs =
       [
-        ("stratum", string_of_int i);
-        ("recursive", string_of_bool recursive);
+        ("stratum", sp.sp_label);
+        ("recursive", string_of_bool sp.sp_recursive);
         ("mode", mode);
       ]
     in
     Span.with_ ~attrs "datalog.stratum" (fun () ->
         let t0 = Unix.gettimeofday () in
         let r = f () in
-        Metrics.Histogram.observe h (Unix.gettimeofday () -. t0);
+        Metrics.Histogram.observe sp.sp_seconds (Unix.gettimeofday () -. t0);
         r)
   end
 
@@ -1267,11 +1284,6 @@ let insert_heads (db : db) (stats : stats) tbl ~on_new pred produce =
       end);
   if not (!acc == acc0) then Hashtbl.replace tbl pred !acc
 
-let observe_rule obs (cr : compiled_rule) seconds =
-  match List.assq_opt cr.cr_source obs.eo_rule_hist with
-  | Some h -> Metrics.Histogram.observe h seconds
-  | None -> ()
-
 (* The one-domain pass: the occurrences run in turn, each inserting as
    it derives. *)
 let eval_pass_inline (db : db) (stats : stats) ~obs ~on_new tbl occurrences =
@@ -1282,7 +1294,8 @@ let eval_pass_inline (db : db) (stats : stats) ~obs ~on_new tbl occurrences =
       insert_heads db stats tbl ~on_new oc.oc_cr.cr_head.c_pred (fun insert ->
           eval_rule db oc.oc_cr ~delta_at:oc.oc_delta_at
             ~delta_tuples:oc.oc_delta_tuples ~on_derived:insert);
-      if obs.eo_live then observe_rule obs oc.oc_cr (Unix.gettimeofday () -. t0))
+      if obs.eo_live then
+        Metrics.Histogram.observe oc.oc_cr.cr_seconds (Unix.gettimeofday () -. t0))
     occurrences
 
 (* ------------------------------------------------------------------ *)
@@ -1495,7 +1508,7 @@ let eval_pass_parallel (db : db) (stats : stats) ~obs ~pool ~fanout_gauge
                   List.iter insert out
               | [] -> assert false)
             chunks);
-      if obs.eo_live then observe_rule obs oc.oc_cr !busy)
+      if obs.eo_live then Metrics.Histogram.observe oc.oc_cr.cr_seconds !busy)
     jobs
 
 (* Evaluate one stratum to fixpoint, one semi-naive round at a time;
@@ -1514,11 +1527,10 @@ let eval_pass_parallel (db : db) (stats : stats) ~obs ~pool ~fanout_gauge
    full), until a round adds nothing.  A non-recursive stratum is
    complete after round 0: its body predicates all live in earlier
    strata.  [on_new] fires for every tuple actually added. *)
-let eval_stratum (db : db) (stats : stats) ~naive ~obs ~pool ~stratum_i
-    (stratum_rules : rule list) (recursive : bool)
+let eval_stratum (db : db) (stats : stats) ~naive ~obs ~pool sp
     ~(seed : [ `Full | `Deltas of (string, Relation.tuple list) Hashtbl.t ])
     ~on_new =
-  let compiled = List.map compile_rule stratum_rules in
+  let compiled = sp.sp_compiled in
   let pass =
     match pool with
     | None -> eval_pass_inline db stats ~obs ~on_new
@@ -1526,7 +1538,7 @@ let eval_stratum (db : db) (stats : stats) ~naive ~obs ~pool ~stratum_i
         prepare_indices db ~pool compiled;
         let fanout_gauge =
           Metrics.gauge obs.eo_reg
-            ~labels:[ ("stratum", string_of_int stratum_i) ]
+            ~labels:[ ("stratum", sp.sp_label) ]
             "xcw_datalog_parallel_fanout"
         in
         eval_pass_parallel db stats ~obs ~pool ~fanout_gauge ~on_new
@@ -1556,15 +1568,13 @@ let eval_stratum (db : db) (stats : stats) ~naive ~obs ~pool ~stratum_i
     stats.iterations <- stats.iterations + 1;
     let added = Hashtbl.create 8 in
     pass added occurrences;
-    if recursive && Hashtbl.length added > 0 then
+    if sp.sp_recursive && Hashtbl.length added > 0 then
       rounds (if naive then full () else deltas added)
   in
   rounds (match seed with `Full -> full () | `Deltas fresh -> deltas fresh)
 
-let mark_derived (db : db) (stratum_rules : rule list) =
-  List.iter
-    (fun (r : rule) -> Hashtbl.replace db.db_derived r.head.pred ())
-    stratum_rules
+let mark_derived (db : db) sp =
+  List.iter (fun p -> Hashtbl.replace db.db_derived p ()) sp.sp_heads
 
 (* ------------------------------------------------------------------ *)
 (* Stratified aggregation (PR 10).
@@ -1656,47 +1666,139 @@ let pool_for ndomains =
   else if ndomains = 1 then None
   else Some (Pool.get ~ndomains)
 
-(* What [run] and [run_incremental] share: the pool, the instruments,
-   the safety and aggregate checks, fresh stats and the strata before
-   [body]; the journal reset and the derived-tuple count after. *)
-let evaluate ?metrics ~ndomains ~aggregates (db : db) (program : program) body
-    =
-  let pool = pool_for ndomains in
+(* ------------------------------------------------------------------ *)
+(* Plans and change sets                                               *)
+
+(* Everything about an evaluation that depends only on the program:
+   checked, stratified and compiled once, then run against any number
+   of databases (a monitor runs one plan for as long as it lives). *)
+type plan = {
+  pl_obs : engine_obs;
+  pl_aggregates : aggregate list;
+  pl_strata : stratum_plan list;  (* dependencies first *)
+  pl_evaluated : (string, unit) Hashtbl.t;
+      (* what a full run evaluates: the aggregate and rule heads *)
+}
+
+let prepare ?metrics ?(aggregates = []) (program : program) : plan =
   let reg = match metrics with Some m -> m | None -> Metrics.default () in
-  let obs = make_obs reg program in
+  let obs = make_obs reg in
+  (* Keyed by the rule's physical identity, which [stratify]
+     preserves. *)
+  let rule_seconds =
+    List.mapi
+      (fun i r ->
+        ( r,
+          Metrics.histogram reg
+            ~labels:[ ("rule", rule_label i r) ]
+            "xcw_datalog_rule_seconds" ))
+      program.rules
+  in
   List.iter check_rule_safety program.rules;
   check_aggregates program aggregates;
-  let stats = { rules_evaluated = 0; iterations = 0; tuples_derived = 0 } in
-  body ~pool ~obs stats (stratify program.rules);
+  let stratum i (rules, recursive) =
+    let label = string_of_int i in
+    let body_preds pick =
+      List.sort_uniq compare
+        (List.concat_map (fun (r : rule) -> List.filter_map pick r.body) rules)
+    in
+    {
+      sp_label = label;
+      sp_recursive = recursive;
+      sp_compiled =
+        List.map
+          (fun r -> compile_rule ~seconds:(List.assq r rule_seconds) r)
+          rules;
+      sp_heads =
+        List.sort_uniq compare (List.map (fun (r : rule) -> r.head.pred) rules);
+      sp_pos = body_preds (function Pos a -> Some a.pred | _ -> None);
+      sp_neg = body_preds (function Neg a -> Some a.pred | _ -> None);
+      sp_seconds =
+        Metrics.histogram reg
+          ~labels:[ ("stratum", label) ]
+          "xcw_datalog_stratum_seconds";
+    }
+  in
+  let strata = List.mapi stratum (stratify program.rules) in
+  let evaluated = Hashtbl.create 64 in
+  List.iter (fun a -> Hashtbl.replace evaluated a.agg_pred ()) aggregates;
+  List.iter
+    (fun sp -> List.iter (fun p -> Hashtbl.replace evaluated p ()) sp.sp_heads)
+    strata;
+  {
+    pl_obs = obs;
+    pl_aggregates = aggregates;
+    pl_strata = strata;
+    pl_evaluated = evaluated;
+  }
+
+(* What one run changed.  An incremental run keeps, per relation, the
+   tuples added since the previous run (journaled insertions included)
+   and whether any tuple was lost: the [added] and [dirty] tables it
+   steers its strata by.  A full run lists nothing — it counts every
+   relation it evaluated as changed. *)
+type changes =
+  | Full of (string, unit) Hashtbl.t  (* [pl_evaluated] *)
+  | Delta of {
+      added : (string, Relation.tuple list) Hashtbl.t;
+      lost : (string, unit) Hashtbl.t;
+    }
+
+let full_run = function Full _ -> true | Delta _ -> false
+
+let changed ch pred =
+  match ch with
+  | Full evaluated -> Hashtbl.mem evaluated pred
+  | Delta d -> Hashtbl.mem d.added pred || Hashtbl.mem d.lost pred
+
+let added ch pred =
+  match ch with
+  | Full _ -> []
+  | Delta d -> Option.value (Hashtbl.find_opt d.added pred) ~default:[]
+
+let lost ch pred =
+  match ch with
+  | Full evaluated -> Hashtbl.mem evaluated pred
+  | Delta d -> Hashtbl.mem d.lost pred
+
+let new_stats () = { rules_evaluated = 0; iterations = 0; tuples_derived = 0 }
+
+(* What every run ends with: the journal reset and the derived-tuple
+   count. *)
+let finish plan (db : db) stats =
   db.db_ran <- true;
   Hashtbl.reset db.db_journal;
-  Metrics.Counter.add obs.eo_tuples stats.tuples_derived;
-  stats
+  Metrics.Counter.add plan.pl_obs.eo_tuples stats.tuples_derived
+
+let evaluate_full plan ~naive ~pool (db : db) =
+  let obs = plan.pl_obs in
+  let stats = new_stats () in
+  Span.with_ "datalog.run" (fun () ->
+      List.iter (compute_aggregate db stats) plan.pl_aggregates;
+      List.iter
+        (fun sp ->
+          mark_derived db sp;
+          with_stratum obs sp ~mode:"full" (fun () ->
+              eval_stratum db stats ~naive ~obs ~pool sp ~seed:`Full
+                ~on_new:(fun _ _ -> ())))
+        plan.pl_strata);
+  finish plan db stats;
+  (stats, Full plan.pl_evaluated)
 
 (** [run ?naive db program] evaluates all rules to fixpoint, stratum by
-    stratum, adding derived tuples to [db] in place.  [naive] disables
-    semi-naive deltas (used by the ablation bench).  [ndomains] above
-    1 (default 1) evaluates each stratum's rounds on a shared domain
-    pool instead of inline.  Returns evaluation statistics. *)
-let run ?(naive = false) ?metrics ?(ndomains = 1) ?(aggregates = [])
-    (db : db) (program : program) : stats =
-  evaluate ?metrics ~ndomains ~aggregates db program
-    (fun ~pool ~obs stats strata ->
-      Span.with_ "datalog.run" (fun () ->
-          List.iter (compute_aggregate db stats) aggregates;
-          List.iteri
-            (fun i (stratum_rules, recursive) ->
-              mark_derived db stratum_rules;
-              with_stratum obs i recursive ~mode:"full" (fun () ->
-                  eval_stratum db stats ~naive ~obs ~pool ~stratum_i:i
-                    stratum_rules recursive ~seed:`Full
-                    ~on_new:(fun _ _ -> ())))
-            strata))
+    stratum, adding derived tuples to [db] in place: {!prepare}, then
+    a full run.  [naive] disables semi-naive deltas (used by the
+    ablation bench).  [ndomains] above 1 (default 1) evaluates each
+    stratum's rounds on a shared domain pool instead of inline.
+    Returns evaluation statistics. *)
+let run ?(naive = false) ?metrics ?(ndomains = 1) ?aggregates (db : db)
+    (program : program) : stats =
+  let pool = pool_for ndomains in
+  fst (evaluate_full (prepare ?metrics ?aggregates program) ~naive ~pool db)
 
-(** [run_incremental db program] brings a previously evaluated [db] up
-    to date after EDB insertions, treating the journaled fresh tuples
-    as the initial semi-naive delta.  Per stratum (in dependency
-    order):
+(** [run_incremental plan db] brings a previously evaluated [db] up to
+    date after EDB insertions, treating the journaled fresh tuples as
+    the initial semi-naive delta.  Per stratum (in dependency order):
 
     - no input predicate changed → the stratum is skipped outright, its
       derived tuples standing from the previous run;
@@ -1704,21 +1806,20 @@ let run ?(naive = false) ?metrics ?(ndomains = 1) ?(aggregates = [])
       positively → semi-naive insertion seeded with the fresh tuples
       (old derived tuples are kept, only new joins run);
     - a changed predicate occurs under negation (or an upstream
-      predicate was recomputed non-monotonically) → the stratum's
-      derived relations are cleared ({!Relation.clear} preserves their
-      hash-index structure) and re-derived from scratch over the
-      current database — the retraction path for the non-monotonic
-      anomaly relations.
+      predicate lost a tuple) → the stratum's derived relations are
+      cleared ({!Relation.clear} preserves their hash-index structure)
+      and re-derived from scratch over the current database — the
+      retraction path for the non-monotonic anomaly relations.
 
-    EDB relations and their indices are never rebuilt.  The program
-    must be the same one evaluated on [db] previously (the first call
-    on a fresh database falls back to a full {!run}). *)
-let run_incremental ?metrics ?(ndomains = 1) ?(aggregates = []) (db : db)
-    (program : program) : stats =
-  if not db.db_ran then run ?metrics ~ndomains ~aggregates db program
-  else
-    evaluate ?metrics ~ndomains ~aggregates db program
-    @@ fun ~pool ~obs stats strata ->
+    EDB relations and their indices are never rebuilt.  [plan] must be
+    the plan [db] was evaluated with before; the first call on a fresh
+    database is a full run. *)
+let run_incremental ?(ndomains = 1) plan (db : db) : stats * changes =
+  let pool = pool_for ndomains in
+  if not db.db_ran then evaluate_full plan ~naive:false ~pool db
+  else begin
+    let obs = plan.pl_obs in
+    let stats = new_stats () in
     (* Tuples added per predicate since the last run: journaled EDB
        insertions plus everything derived by earlier strata below. *)
     let added : (string, Relation.tuple list) Hashtbl.t = Hashtbl.create 16 in
@@ -1729,8 +1830,8 @@ let run_incremental ?metrics ?(ndomains = 1) ?(aggregates = []) (db : db)
       Metrics.Histogram.observe obs.eo_delta
         (float_of_int
            (Hashtbl.fold (fun _ l acc -> acc + List.length l) added 0));
-    (* Predicates recomputed non-monotonically (some tuple retracted):
-       downstream consumers cannot use insertion-only deltas. *)
+    (* Predicates that lost a tuple: downstream consumers cannot use
+       insertion-only deltas. *)
     let dirty : (string, unit) Hashtbl.t = Hashtbl.create 8 in
     let changed p = Hashtbl.mem added p || Hashtbl.mem dirty p in
     let record_added pred tuple =
@@ -1740,24 +1841,31 @@ let run_incremental ?metrics ?(ndomains = 1) ?(aggregates = []) (db : db)
     (* Recompute [preds] in place with [recompute] and diff each against
        its tuples before: a tuple that vanished is a retraction and
        marks the predicate dirty, so downstream strata take the
-       recompute path; with none, its new tuples propagate as an
-       ordinary insertion delta. *)
+       recompute path; a tuple that appeared is recorded as added, so
+       that [added] and [dirty] together are the exact diff.  Sizes
+       tell whether anything appeared at all: most recomputations
+       re-derive the same set, and then no set of the old tuples is
+       built. *)
     let recompute_and_diff preds recompute =
       let before =
-        List.map (fun p -> (p, Relation.to_list (relation db p))) preds
+        List.map (fun p -> (p, Relation.to_array (relation db p))) preds
       in
       recompute ();
       List.iter
         (fun (p, old) ->
           let rel = relation db p in
-          let retracted = List.filter (fun t -> not (Relation.mem rel t)) old in
-          Metrics.Counter.add obs.eo_retractions (List.length retracted);
-          if retracted <> [] then Hashtbl.replace dirty p ()
-          else begin
-            let old_set = Hashtbl.create (max 16 (List.length old)) in
-            List.iter (fun t -> Hashtbl.replace old_set t ()) old;
+          let retracted =
+            Array.fold_left
+              (fun n t -> if Relation.mem rel t then n else n + 1)
+              0 old
+          in
+          Metrics.Counter.add obs.eo_retractions retracted;
+          if retracted > 0 then Hashtbl.replace dirty p ();
+          if Relation.size rel > Array.length old - retracted then begin
+            let old_set = Relation.Ktbl.create (Array.length old) in
+            Array.iter (fun t -> Relation.Ktbl.replace old_set t ()) old;
             Relation.iter rel (fun t ->
-                if not (Hashtbl.mem old_set t) then record_added p t)
+                if not (Relation.Ktbl.mem old_set t) then record_added p t)
           end)
         before
     in
@@ -1768,27 +1876,16 @@ let run_incremental ?metrics ?(ndomains = 1) ?(aggregates = []) (db : db)
         if Hashtbl.mem added agg.agg_source then
           recompute_and_diff [ agg.agg_pred ] (fun () ->
               compute_aggregate db stats agg))
-      aggregates;
+      plan.pl_aggregates;
     Span.with_ "datalog.run_incremental" (fun () ->
-        List.iteri
-          (fun stratum_i ((stratum_rules : rule list), recursive) ->
-            mark_derived db stratum_rules;
-            let heads =
-              List.sort_uniq compare
-                (List.map (fun (r : rule) -> r.head.pred) stratum_rules)
+        List.iter
+          (fun sp ->
+            mark_derived db sp;
+            let pos_added = List.exists (Hashtbl.mem added) sp.sp_pos in
+            let non_monotonic =
+              List.exists (Hashtbl.mem dirty) sp.sp_pos
+              || List.exists changed sp.sp_neg
             in
-            let pos_added = ref false and non_monotonic = ref false in
-            List.iter
-              (fun (r : rule) ->
-                List.iter
-                  (function
-                    | Pos a ->
-                        if Hashtbl.mem added a.pred then pos_added := true;
-                        if Hashtbl.mem dirty a.pred then non_monotonic := true
-                    | Neg a -> if changed a.pred then non_monotonic := true
-                    | Cmp _ -> ())
-                  r.body)
-              stratum_rules;
             (* EDB tuples journaled directly into a derived predicate
                must survive the clear; force the recompute path and
                re-insert them. *)
@@ -1798,17 +1895,16 @@ let run_incremental ?metrics ?(ndomains = 1) ?(aggregates = []) (db : db)
                   match Hashtbl.find_opt db.db_journal p with
                   | Some l when !l <> [] -> Some (p, !l)
                   | _ -> None)
-                heads
+                sp.sp_heads
             in
             let eval ~seed ~on_new =
-              eval_stratum db stats ~naive:false ~obs ~pool ~stratum_i
-                stratum_rules recursive ~seed ~on_new
+              eval_stratum db stats ~naive:false ~obs ~pool sp ~seed ~on_new
             in
-            if !non_monotonic || head_journal <> [] then begin
+            if non_monotonic || head_journal <> [] then begin
               (* Retraction path: clear and re-derive the whole stratum. *)
               Metrics.Counter.inc obs.eo_strata_recomputed;
-              with_stratum obs stratum_i recursive ~mode:"recompute" (fun () ->
-                  recompute_and_diff heads (fun () ->
+              with_stratum obs sp ~mode:"recompute" (fun () ->
+                  recompute_and_diff sp.sp_heads (fun () ->
                       List.iter
                         (fun p ->
                           let rel = relation db p in
@@ -1817,17 +1913,20 @@ let run_incremental ?metrics ?(ndomains = 1) ?(aggregates = []) (db : db)
                             (fun t -> ignore (Relation.add rel t))
                             (Option.value (List.assoc_opt p head_journal)
                                ~default:[]))
-                        heads;
+                        sp.sp_heads;
                       eval ~seed:`Full ~on_new:(fun _ _ -> ())))
             end
-            else if !pos_added then begin
+            else if pos_added then begin
               (* Monotone path: keep the old derived tuples and seed
                  semi-naive evaluation with the fresh input tuples. *)
               Metrics.Counter.inc obs.eo_strata_seminaive;
-              with_stratum obs stratum_i recursive ~mode:"seminaive" (fun () ->
+              with_stratum obs sp ~mode:"seminaive" (fun () ->
                   eval ~seed:(`Deltas added) ~on_new:record_added)
             end
             else
               (* No input changed — skip the stratum entirely. *)
               Metrics.Counter.inc obs.eo_strata_skipped)
-          strata)
+          plan.pl_strata);
+    finish plan db stats;
+    (stats, Delta { added; lost = dirty })
+  end

@@ -139,9 +139,10 @@ type aggregate = {
     [agg_sum] cells.  Sources must be EDB — neither a rule head nor
     another aggregate's head — so aggregation is computed once before
     the rule strata and the rules may join or negate the aggregate
-    head exactly like any EDB relation.  [run]/[run_incremental] raise
-    [Invalid_argument] on declarations violating this, on non-int sum
-    cells, or on positions beyond the source arity.  Groups are emitted
+    head exactly like any EDB relation.  {!prepare} (and so {!run})
+    raises [Invalid_argument] on declarations violating this, and a run
+    raises it on non-int sum cells or on positions beyond the source
+    arity.  Groups are emitted
     in ascending key order by a sequential pass, so the derived
     relation is bit-identical at any [ndomains] and across the
     scratch/incremental paths. *)
@@ -153,6 +154,23 @@ val recommended_gc_setup : unit -> unit
     scale.  Called automatically by [Xcw_core.Detector.run] and the
     monitor. *)
 
+type plan
+(** A program made ready to run, once: its rules checked for safety
+    and its aggregates against it, the program stratified, every
+    stratum's rules compiled, each stratum's head predicates and the
+    predicates it reads positively and under negation listed, and the
+    rule and stratum instruments resolved.  A plan is run against any
+    number of databases, one at a time; a monitor keeps one for as
+    long as it lives. *)
+
+val prepare :
+  ?metrics:Xcw_obs.Metrics.t -> ?aggregates:aggregate list -> program -> plan
+(** Plan [program] with its [aggregates] (default none).  Raises
+    {!Unsafe_rule}, {!Not_stratifiable} or [Invalid_argument] (a bad
+    aggregate) as {!run} does.  The plan's runs record into [metrics]
+    (default: the process-wide registry), whose instruments are
+    registered here; with a disabled registry nothing is registered. *)
+
 val run :
   ?naive:bool ->
   ?metrics:Xcw_obs.Metrics.t ->
@@ -162,9 +180,10 @@ val run :
   program ->
   stats
 (** Evaluate all rules to fixpoint, adding derived tuples to [db] in
-    place.  [naive] disables semi-naive deltas in recursive strata
-    (used by the ablation bench).  [aggregates] (default none) are
-    recomputed from their EDB sources before the first stratum.
+    place: {!prepare}, then a full run of the plan.  [naive] disables
+    semi-naive deltas in recursive strata (used by the ablation bench).
+    [aggregates] (default none) are recomputed from their EDB sources
+    before the first stratum.
 
     Each stratum runs one semi-naive round loop, and each round hands
     its (rule, delta) occurrences to one of two passes, chosen by
@@ -194,34 +213,58 @@ val run :
     span on the default tracer.  With a disabled registry no timing
     calls are made at all. *)
 
-val run_incremental :
-  ?metrics:Xcw_obs.Metrics.t ->
-  ?ndomains:int ->
-  ?aggregates:aggregate list ->
-  db ->
-  program ->
-  stats
+type changes
+(** What one {!run_incremental} changed in its database, relation by
+    relation, since the previous run on it.  After an incremental run
+    it is exact: the tuples each relation gained (journaled insertions
+    included) and whether it lost any.  A full run lists no tuples; it
+    counts every relation it evaluated — each aggregate and rule head
+    of the plan — as changed. *)
+
+val full_run : changes -> bool
+(** The run evaluated the whole program (a fresh database). *)
+
+val changed : changes -> string -> bool
+(** The relation gained or lost a tuple; after a full run, the run
+    evaluated it. *)
+
+val added : changes -> string -> Relation.tuple list
+(** The tuples the relation gained, in no particular order; [[]] after
+    a full run. *)
+
+val lost : changes -> string -> bool
+(** The relation lost a tuple; after a full run, the same as
+    {!changed}. *)
+
+val run_incremental : ?ndomains:int -> plan -> db -> stats * changes
 (** Bring a previously evaluated [db] up to date after fact
     insertions, treating the tuples added since the last run as the
-    initial semi-naive delta.  [aggregates] must match the set the
-    database was first evaluated with (like [program]); an aggregate
-    whose source gained journaled tuples is recomputed in place first,
-    its diff feeding the strata as insertions or retractions.  Strata whose inputs did not change are
-    skipped entirely; strata that depend on changed predicates only
-    positively run insertion-only semi-naive evaluation; strata that
-    negate a changed predicate (the non-monotonic anomaly relations)
-    are cleared and re-derived over the current database.  EDB
-    relations and their hash indices are preserved throughout.  The
-    program must be the same across calls on a given [db]; the first
-    call behaves as {!run}.  Steady-state cost is proportional to the
-    delta and the affected strata, not to the database size.
+    initial semi-naive delta, and return what changed.  The plan's
+    aggregates whose sources gained journaled tuples are recomputed in
+    place first, their diff feeding the strata as insertions or
+    retractions.  Strata whose inputs did not change are skipped
+    entirely; strata that depend on changed predicates only positively
+    run insertion-only semi-naive evaluation; strata that negate a
+    changed predicate, or read one that lost a tuple (the
+    non-monotonic anomaly relations), are cleared and re-derived over
+    the current database and diffed against their tuples before.  EDB
+    relations and their hash indices are preserved throughout.  [plan]
+    must be the one [db] was evaluated with before; the first call on a
+    fresh database is a full run ({!run}'s, with [naive = false]).
+
+    What a run costs: a run that changes nothing checks each stratum's
+    inputs against the delta and evaluates nothing.  Otherwise the cost
+    does not follow the delta alone.  A recomputed stratum re-derives
+    its relations from the whole database and diffs them against their
+    tuples before (8 negation strata on a Nomad stream poll).  A
+    semi-naive occurrence restricts one body literal to the delta and
+    scans each positive literal left of it in full.
+
     [ndomains] chooses the inline or the pooled pass for the
     semi-naive and recompute strata exactly as in {!run}, with the same
-    determinism guarantees.
-
-    Beyond the {!run} instruments, incremental runs record the
-    journaled delta size ([xcw_datalog_delta_tuples]), how each stratum
-    was handled ([xcw_datalog_strata_skipped_total] /
+    determinism guarantees.  Beyond the {!run} instruments, incremental
+    runs record the journaled delta size ([xcw_datalog_delta_tuples]),
+    how each stratum was handled ([xcw_datalog_strata_skipped_total] /
     [_seminaive_total] / [_recomputed_total]) and how many previously
     derived tuples the retraction path withdrew
     ([xcw_datalog_retractions_total]). *)

@@ -357,7 +357,7 @@ let incremental_inserts_recursive =
       (* Feed the edge relation in three batches through one persistent
          db; the final closure must equal a from-scratch run. *)
       let db = Engine.create_db () in
-      let program = { rules = tc_rules } in
+      let plan = Engine.prepare { rules = tc_rules } in
       let batches =
         [
           [ (1, 2); (2, 3) ];
@@ -370,7 +370,7 @@ let incremental_inserts_recursive =
           List.iter
             (fun (a, b) -> ignore (Engine.insert_fact db "edge" [ Int a; Int b ]))
             batch;
-          ignore (Engine.run_incremental db program))
+          ignore (Engine.run_incremental plan db))
         batches;
       let reference =
         run_program (edges_to_facts (List.concat batches)) tc_rules
@@ -392,15 +392,15 @@ let incremental_retracts_nonmonotonic =
         ]
       in
       let db = Engine.create_db () in
-      let program = { rules } in
+      let plan = Engine.prepare { rules } in
       ignore (Engine.insert_fact db "req" [ Str "a" ]);
       ignore (Engine.insert_fact db "req" [ Str "b" ]);
-      ignore (Engine.run_incremental db program);
+      ignore (Engine.run_incremental plan db);
       Alcotest.check tuple_list "both unmatched initially"
         [ [| Str "a" |]; [| Str "b" |] ]
         (sorted_facts db "unmatched");
       ignore (Engine.insert_fact db "ack" [ Str "a" ]);
-      ignore (Engine.run_incremental db program);
+      ignore (Engine.run_incremental plan db);
       Alcotest.check tuple_list "a retracted after its ack arrives"
         [ [| Str "b" |] ]
         (sorted_facts db "unmatched");
@@ -419,12 +419,12 @@ let incremental_skips_unchanged_strata =
         ]
       in
       let db = Engine.create_db () in
-      let program = { rules } in
+      let plan = Engine.prepare { rules } in
       ignore (Engine.insert_fact db "p" [ Str "a" ]);
       ignore (Engine.insert_fact db "s" [ Str "z" ]);
-      ignore (Engine.run_incremental db program);
+      ignore (Engine.run_incremental plan db);
       ignore (Engine.insert_fact db "p" [ Str "b" ]);
-      let stats = Engine.run_incremental db program in
+      let stats, _ = Engine.run_incremental plan db in
       Alcotest.(check int) "only p's stratum ran" 1 stats.Engine.rules_evaluated;
       Alcotest.check tuple_list "q extended"
         [ [| Str "a" |]; [| Str "b" |] ]
@@ -432,9 +432,39 @@ let incremental_skips_unchanged_strata =
       Alcotest.check tuple_list "t intact" [ [| Str "z" |] ]
         (sorted_facts db "t");
       (* A no-op increment does no work at all. *)
-      let stats2 = Engine.run_incremental db program in
+      let stats2, _ = Engine.run_incremental plan db in
       Alcotest.(check int) "idle poll evaluates nothing" 0
         stats2.Engine.rules_evaluated)
+
+let plan_outlives_its_database =
+  Alcotest.test_case
+    "one plan over two databases: the second reads only its own relations"
+    `Quick (fun () ->
+      (* A plan's compiled rules cache each atom's relation per database
+         generation.  Database B creates the same relations as A, in the
+         same order, so per-database generation counts would line up and
+         B's run would read A's relations. *)
+      let plan = Engine.prepare { rules = tc_rules } in
+      let small = [ (1, 2); (2, 3) ] in
+      let large = small @ [ (3, 4); (4, 5); (5, 6) ] in
+      let load edges =
+        let db = Engine.create_db () in
+        List.iter
+          (fun (a, b) -> ignore (Engine.insert_fact db "edge" [ Int a; Int b ]))
+          edges;
+        db
+      in
+      let a = load small in
+      ignore (Engine.run_incremental plan a);
+      let b = load large in
+      ignore (Engine.run_incremental plan b);
+      let reference = run_program (edges_to_facts large) tc_rules in
+      Alcotest.check tuple_list "B's closure = a fresh run's"
+        (sorted_facts reference "path")
+        (sorted_facts b "path");
+      Alcotest.check tuple_list "A's closure is untouched"
+        (sorted_facts (run_program (edges_to_facts small) tc_rules) "path")
+        (sorted_facts a "path"))
 
 let derived_predicates_tracked =
   Alcotest.test_case "derived vs EDB predicates are distinguished" `Quick
@@ -534,15 +564,15 @@ let prop_incremental_equals_batch =
     (QCheck.pair (QCheck.make gen_edges) (QCheck.make gen_edges))
     (fun (e1, e2) ->
       let db = Engine.create_db () in
-      let program = { rules = tc_rules } in
+      let plan = Engine.prepare { rules = tc_rules } in
       List.iter
         (fun (p, t) -> ignore (Engine.insert_fact db p t))
         (edges_to_facts e1);
-      ignore (Engine.run_incremental db program);
+      ignore (Engine.run_incremental plan db);
       List.iter
         (fun (p, t) -> ignore (Engine.insert_fact db p t))
         (edges_to_facts e2);
-      ignore (Engine.run_incremental db program);
+      ignore (Engine.run_incremental plan db);
       let reference = run_program (edges_to_facts (e1 @ e2)) tc_rules in
       sorted_facts db "path" = sorted_facts reference "path")
 
@@ -585,6 +615,7 @@ let () =
           incremental_retracts_nonmonotonic;
           incremental_skips_unchanged_strata;
           derived_predicates_tracked;
+          plan_outlives_its_database;
         ] );
       ( "errors",
         [ unsafe_head_rejected; unstratifiable_rejected; arity_mismatch_rejected ] );

@@ -380,16 +380,20 @@ let engine_run ~ndomains rules edges =
   let stats = Engine.run ~ndomains ~aggregates db { rules } in
   (engine_relations db rules, stats.Engine.tuples_derived)
 
+let insert_edges db edges =
+  List.iter
+    (fun (a, b) -> ignore (Engine.insert_fact db "edge" [ Int a; Int b ]))
+    edges
+
 (* The relations after each batch, brought up to date by
    [run_incremental] on one database. *)
 let engine_incremental ~ndomains rules batches =
   let db = Engine.create_db () in
+  let plan = Engine.prepare ~aggregates { rules } in
   List.map
     (fun edges ->
-      List.iter
-        (fun (a, b) -> ignore (Engine.insert_fact db "edge" [ Int a; Int b ]))
-        edges;
-      ignore (Engine.run_incremental ~ndomains ~aggregates db { rules });
+      insert_edges db edges;
+      ignore (Engine.run_incremental ~ndomains plan db);
       engine_relations db rules)
     batches
 
@@ -418,6 +422,61 @@ let prop_naive_vs_engine =
         (fun k ->
           engine_run ~ndomains:k rules (List.concat batches) = reference
           && engine_incremental ~ndomains:k rules batches = prefixes)
+        [ 1; 2; 4 ])
+
+(* Each relation's packed tuples, sorted. *)
+let packed_relations db rules =
+  List.map
+    (fun p -> (p, List.sort compare (Engine.packed_facts db p)))
+    (head_preds rules)
+
+(* Does the change set of one [run_incremental] describe how every
+   relation moved from [before] (as the previous run left the database,
+   i.e. before this batch's insertions) to [after]?  After an
+   incremental run it must be the exact diff: the tuples gained, and
+   whether any was lost.  The first run is a full one: it lists no
+   tuples and counts exactly the relations it evaluated — the rule and
+   aggregate heads — as changed. *)
+let change_set_is_diff rules ch ~before ~after =
+  let evaluated = "out_sum" :: List.map (fun r -> r.head.pred) rules in
+  List.for_all
+    (fun (p, now) ->
+      let old = List.assoc p before in
+      if Engine.full_run ch then
+        Engine.added ch p = [] && Engine.changed ch p = List.mem p evaluated
+      else
+        let gained = List.filter (fun t -> not (List.mem t old)) now in
+        let lost = List.exists (fun t -> not (List.mem t now)) old in
+        List.sort compare (Engine.added ch p) = gained
+        && Engine.lost ch p = lost
+        && Engine.changed ch p = (gained <> [] || lost))
+    after
+
+let prop_change_set =
+  QCheck.Test.make
+    ~name:
+      "run_incremental's change set = the diff of every relation across \
+       each run, at --jobs 1/2/4"
+    ~count:(qcount 40) arb_case
+    (fun (rules, batches) ->
+      List.for_all
+        (fun ndomains ->
+          let db = Engine.create_db () in
+          let plan = Engine.prepare ~aggregates { rules } in
+          let _, ok =
+            List.fold_left
+              (fun (before, ok) (i, edges) ->
+                insert_edges db edges;
+                let _, ch = Engine.run_incremental ~ndomains plan db in
+                let after = packed_relations db rules in
+                ( after,
+                  ok
+                  && Engine.full_run ch = (i = 0)
+                  && change_set_is_diff rules ch ~before ~after ))
+              (packed_relations db rules, true)
+              (List.mapi (fun i edges -> (i, edges)) batches)
+          in
+          ok)
         [ 1; 2; 4 ])
 
 let aggregate_crossing =
@@ -464,5 +523,6 @@ let () =
       ("symtab-stability", [ symtab_stable_under_rewind ]);
       ( "differential",
         QCheck_alcotest.to_alcotest prop_naive_vs_engine
+        :: QCheck_alcotest.to_alcotest prop_change_set
         :: [ aggregate_crossing ] );
     ]

@@ -14,6 +14,8 @@ module Fault = Xcw_rpc.Fault
 module Metrics = Xcw_obs.Metrics
 module Events = Xcw_bridge.Events
 module Client = Xcw_rpc.Client
+module Decoder = Xcw_core.Decoder
+module Presets = Xcw_fleet.Presets
 module T = Xcw_testlib
 
 let u = U256.of_int
@@ -378,6 +380,164 @@ let bookkeeping_survives_reorgs_and_restart =
         (unparseable_rows scr) (unparseable_rows mon2);
       Monitor.Checkpoint.close ck2)
 
+let counter reg ?labels name =
+  match Metrics.find (Metrics.snapshot reg) ?labels name with
+  | Some { Metrics.m_value = Metrics.V_counter n; _ } -> n
+  | _ -> 0
+
+let scans reg outcome =
+  counter reg ~labels:[ ("outcome", outcome) ] "xcw_monitor_alert_scans_total"
+
+(* Unsynced polls do not scan, so what they changed must wait for the
+   next synced poll — even when that poll's own change touches nothing
+   the scan reads.  The target side falls behind: polled below the
+   cursor it was asked for before, its new receipt stays pending, as
+   under a stale head. *)
+let unsynced_changes_carry_to_the_next_scan =
+  Alcotest.test_case
+    "an anomaly loaded by unsynced polls alerts at the next synced poll"
+    `Quick (fun () ->
+      let b, m = make_bridge () in
+      let input = monitor_input b in
+      let inc_reg = Metrics.create () and ctl_reg = Metrics.create () in
+      let inc = Monitor.create ~metrics:inc_reg input in
+      let scr = Monitor.create ~incremental:false input in
+      (* The control never falls behind. *)
+      let ctl = Monitor.create ~metrics:ctl_reg input in
+      let user = user_with_tokens b m "mon-carry" (u 1_000_000) in
+      T.seed_completed_deposit b m user;
+      let poll mon sb tb =
+        T.alert_keys (Monitor.poll mon ~source_block:sb ~target_block:tb)
+      in
+      let synced mon = (Monitor.health mon).Monitor.h_synced in
+      let sb, tb = cur b in
+      let ahead = tb + 50 in
+      (* A cursor ahead of the target chain: its blocks do not exist yet. *)
+      List.iter (fun mon -> ignore (poll mon sb ahead)) [ inc; scr ];
+      ignore (poll ctl sb tb);
+      (* A relay that never comes (an unmatched deposit on the source),
+         and a target transaction that is not the bridge's. *)
+      T.apply_op b m user 7 1;
+      ignore
+        (Chain.submit_tx b.Bridge.target.Bridge.chain ~value:(u 1) ~from_:user
+           ~to_:(Address.of_seed "mon-carry-peer") ());
+      let sb', tb' = cur b in
+      Alcotest.(check bool) "the new target block is within the cursor" true
+        (tb < tb' && tb' <= ahead);
+      List.iter
+        (fun mon ->
+          Alcotest.(check (list (triple string string string)))
+            "no alert while the target is behind" [] (poll mon sb' tb);
+          Alcotest.(check bool) "unsynced" false (synced mon))
+        [ inc; scr ];
+      (* The control alerts the deposit at once; the target receipt
+         then changes nothing the scan reads, so its poll skips. *)
+      Alcotest.(check int) "the control alerts the deposit" 1
+        (List.length (poll ctl sb' tb));
+      let skipped = scans ctl_reg "skipped" in
+      Alcotest.(check int) "the control's next poll alerts nothing" 0
+        (List.length (poll ctl sb' ahead));
+      Alcotest.(check int) "and skips its scan" (skipped + 1)
+        (scans ctl_reg "skipped");
+      (* The lagging monitors sync on that same receipt. *)
+      let ran = scans inc_reg "run" in
+      let a_scr = poll scr sb' ahead and a_inc = poll inc sb' ahead in
+      Alcotest.(check bool) "synced" true (synced inc && synced scr);
+      Alcotest.(check int) "the scan ran" (ran + 1) (scans inc_reg "run");
+      Alcotest.(check int) "one alert" 1 (List.length a_inc);
+      Alcotest.(check (list (triple string string string)))
+        "the alerts of a monitor that always scans" a_scr a_inc)
+
+(* The scan reads the decode errors as well as relations: a withdrawal
+   request whose beneficiary cannot be parsed is an anomaly of its own
+   (row 6), and its id reclassifies the source-side execution it
+   released.  Decode the execution first, then the request. *)
+let decode_errors_reach_the_scan =
+  Alcotest.test_case "a decode error alerts like a relation change" `Quick
+    (fun () ->
+      let b, m = make_bridge ~beneficiary_repr:Events.B_bytes32 () in
+      let input = monitor_input b in
+      let inc = Monitor.create input in
+      let scr = Monitor.create ~incremental:false input in
+      let user = user_with_tokens b m "mon-garbage" (u 1_000_000) in
+      T.seed_completed_deposit b m user;
+      let poll sb tb =
+        List.map
+          (fun mon ->
+            T.alert_keys (Monitor.poll mon ~source_block:sb ~target_block:tb))
+          [ inc; scr ]
+      in
+      let sb0, tb0 = cur b in
+      ignore (poll sb0 tb0);
+      let w =
+        Bridge.request_withdrawal ~beneficiary_padding:(`Garbage "mon-g2") b
+          ~user ~dst_token:m.Bridge.m_dst_token ~amount:(u 30)
+          ~beneficiary:user
+      in
+      ignore (Bridge.execute_withdrawal b ~withdrawal:w);
+      let sb, tb = cur b in
+      (match poll sb tb0 with
+      | [ a_inc; a_scr ] ->
+          Alcotest.(check (list (triple string string string)))
+            "the execution, alone" a_scr a_inc
+      | _ -> assert false);
+      match poll sb tb with
+      | [ a_inc; a_scr ] ->
+          Alcotest.(check (list (triple string string string)))
+            "the request's decode error" a_scr a_inc;
+          Alcotest.(check bool) "an unparseable beneficiary alerts" true
+            (List.exists
+               (fun (_, cls, _) ->
+                 cls = Report.class_name Report.Unparseable_beneficiary)
+               a_inc)
+      | _ -> assert false)
+
+(* A poll that finds nothing new plans nothing, evaluates nothing and
+   scans nothing.  Before the program was planned once per monitor, an
+   idle poll here allocated 194,986 minor words (stratifying and
+   compiling the program, and re-rendering every anomaly); since, 1,713.
+   The bound is about a twentieth of the former. *)
+let idle_polls_do_no_work =
+  Alcotest.test_case "idle polls skip every stratum and the alert scan" `Quick
+    (fun () ->
+      let built = Xcw_workload.Nomad.build ~seed:42 ~scale:0.01 () in
+      let input =
+        Presets.input_of ~built ~plugin:Decoder.nomad_plugin ~label:"nomad"
+      in
+      let reg = Metrics.create () in
+      let mon = Monitor.create ~metrics:reg input in
+      let head c = List.length (Chain.all_blocks c) in
+      let sb = head input.Detector.i_source_chain in
+      let tb = head input.Detector.i_target_chain in
+      ignore (Monitor.poll mon ~source_block:sb ~target_block:tb);
+      Alcotest.(check bool) "synced" true (Monitor.health mon).Monitor.h_synced;
+      let strata () =
+        ( counter reg "xcw_datalog_strata_skipped_total",
+          counter reg "xcw_datalog_strata_seminaive_total"
+          + counter reg "xcw_datalog_strata_recomputed_total" )
+      in
+      let skipped0, evaluated0 = strata () in
+      let ran0 = scans reg "run" and skips0 = scans reg "skipped" in
+      let polls = 20 and alerts = ref 0 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to polls do
+        alerts :=
+          !alerts
+          + List.length (Monitor.poll mon ~source_block:sb ~target_block:tb)
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int polls in
+      let skipped, evaluated = strata () in
+      Alcotest.(check int) "no alert" 0 !alerts;
+      Alcotest.(check int) "no stratum evaluated" evaluated0 evaluated;
+      Alcotest.(check bool) "every stratum skipped" true
+        (skipped > skipped0 && (skipped - skipped0) mod polls = 0);
+      Alcotest.(check int) "no scan ran" ran0 (scans reg "run");
+      Alcotest.(check int) "every poll skipped its scan" (skips0 + polls)
+        (scans reg "skipped");
+      let bound = 10_000. in
+      if words >= bound then
+        Alcotest.failf "%.0f minor words per idle poll, bound %.0f" words bound)
+
 let () =
   Alcotest.run "monitor"
     [
@@ -391,6 +551,9 @@ let () =
           final_report_matches_batch_detector;
           cursor_out_of_order_regression;
           bookkeeping_survives_reorgs_and_restart;
+          unsynced_changes_carry_to_the_next_scan;
+          decode_errors_reach_the_scan;
+          idle_polls_do_no_work;
           QCheck_alcotest.to_alcotest prop_incremental_equals_scratch;
         ] );
     ]

@@ -415,6 +415,35 @@ let engine_noop_metrics_free =
       Alcotest.(check int) "nothing interned" 0
         (List.length (Metrics.snapshot Metrics.noop)))
 
+let plan_noop_metrics_free =
+  Alcotest.test_case
+    "a plan on the noop registry registers nothing, across its runs"
+    `Quick (fun () ->
+      let program =
+        Ast.
+          {
+            rules =
+              [
+                atom "path" [ v "x"; v "y" ]
+                <-- [ pos (atom "edge" [ v "x"; v "y" ]) ];
+                atom "lone" [ v "x" ]
+                <-- [
+                      pos (atom "edge" [ v "x"; v "y" ]);
+                      neg (atom "path" [ v "y"; v "x" ]);
+                    ];
+              ];
+          }
+      in
+      let plan = Engine.prepare ~metrics:Metrics.noop program in
+      let db = Engine.create_db () in
+      Engine.add_fact db "edge" [ Ast.Int 1; Ast.Int 2 ];
+      ignore (Engine.run_incremental plan db);
+      Engine.add_fact db "edge" [ Ast.Int 2; Ast.Int 1 ];
+      ignore (Engine.run_incremental plan db);
+      ignore (Engine.run_incremental plan db);
+      Alcotest.(check int) "nothing interned" 0
+        (List.length (Metrics.snapshot Metrics.noop)))
+
 let monitor_metrics =
   Alcotest.test_case "monitor polls record counters, gauges and spans"
     `Quick (fun () ->
@@ -595,6 +624,7 @@ let () =
         [
           engine_metrics;
           engine_noop_metrics_free;
+          plan_noop_metrics_free;
           monitor_metrics;
           monitor_metrics_behaviour_neutral;
           client_stats_snapshot;

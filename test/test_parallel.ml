@@ -128,12 +128,13 @@ let prop_run_differential =
 
 let run_incremental_batches ~ndomains batches =
   let db = Engine.create_db () in
+  let plan = Engine.prepare { rules = diff_rules } in
   List.iter
     (fun batch ->
       List.iter
         (fun (p, t) -> ignore (Engine.insert_fact db p t))
         (edges_to_facts batch);
-      ignore (Engine.run_incremental ~ndomains db { rules = diff_rules }))
+      ignore (Engine.run_incremental ~ndomains plan db))
     batches;
   (relation_signature db, dump_bytes db)
 
